@@ -3,10 +3,10 @@
 /// escape as a memoryless per-destination table of Up/Down-distance
 /// reductions; our reproduction found that rule can deadlock the escape
 /// layer at saturation in a packet-granular VCT router (red-link cycles;
-/// see DESIGN.md), so the repository defaults to a strict up*/down* phase
-/// variant with id-oriented shortcuts that is provably acyclic. This bench
-/// quantifies the difference — it is the reproduction's most significant
-/// deviation note.
+/// see "Deadlock freedom" in core/escape_updown.hpp), so the repository
+/// defaults to a strict up*/down* phase variant with id-oriented shortcuts
+/// that is provably acyclic. This bench quantifies the difference — it is
+/// the reproduction's most significant deviation note.
 ///
 /// The (mode, mechanism, load) grid is a TaskGrid: run in-process
 /// (--jobs=N, bit-identical at any worker count), emitted (--emit-tasks)

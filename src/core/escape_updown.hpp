@@ -24,8 +24,9 @@
 /// the classical up*/down* phase bit and orients red links by switch id,
 /// which yields a provably acyclic channel dependency graph. The harness
 /// defaults to strict mode because the memoryless rule measurably wedges
-/// at saturation in this router; see DESIGN.md ("Escape deadlock
-/// freedom"). Every simulation also runs a stall watchdog.
+/// at saturation in this router (red-link cycles in the escape layer; the
+/// ablation_escape_mode bench driver measures both modes). Every
+/// simulation also runs a stall watchdog.
 
 #include <cstdint>
 #include <vector>

@@ -100,7 +100,13 @@ ExperimentSpec spec_from_json(const JsonValue& v) {
   s.sim.link_latency = sim.at("link_latency").as_int();
   s.sim.xbar_latency = sim.at("xbar_latency").as_int();
   s.sim.xbar_speedup = sim.at("xbar_speedup").as_int();
+  // xbar_cycles() divides by the speedup.
+  HXSP_CHECK_MSG(s.sim.xbar_speedup >= 1, "sim.xbar_speedup must be >= 1");
   s.sim.num_vcs = sim.at("num_vcs").as_int();
+  // Zero VCs would simulate an empty network; the allocator's feasibility
+  // mask holds at most 32.
+  HXSP_CHECK_MSG(s.sim.num_vcs >= 1 && s.sim.num_vcs <= 32,
+                 "sim.num_vcs must be in [1, 32]");
   s.sim.server_queue_packets = sim.at("server_queue_packets").as_int();
   s.sim.watchdog_cycles = sim.at("watchdog_cycles").as_i64();
   // Tolerant read: manifests written before the auditor existed lack the

@@ -39,8 +39,9 @@ struct ExperimentSpec {
   std::vector<LinkId> fault_links;
 
   // Escape subnetwork (used by omnisp/polsp). Strict phase is the default:
-  // it is provably deadlock-free and measurably outperforms the memoryless
-  // table rule at saturation in this simulator (see DESIGN.md).
+  // it is provably deadlock-free, while the memoryless table rule can close
+  // red-link cycles and wedge at saturation in this simulator (the
+  // ablation_escape_mode bench driver measures both).
   SwitchId escape_root = 0;
   bool escape_strict_phase = true;
   bool escape_shortcuts = true;

@@ -147,161 +147,30 @@ std::vector<std::vector<std::string>> csv_rows(const std::string& text) {
   return rows;
 }
 
-// ---------------------------------------------------------------------------
-// A minimal parser for the subset json() emits: an array of flat objects
-// whose values are strings, numbers, booleans or arrays of integers.
-// (Escaping on the write side is the shared json_escape_string from
-// util/jsonio.)
-// ---------------------------------------------------------------------------
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : s_(text) {}
-
-  /// Parses the whole input as an array of flat objects; every value is
-  /// returned in its string form (numbers/booleans unquoted, arrays
-  /// re-joined with '|' to match the CSV series encoding).
-  std::vector<std::vector<std::pair<std::string, std::string>>> parse() {
-    std::vector<std::vector<std::pair<std::string, std::string>>> objects;
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return objects;
-    }
-    while (true) {
-      objects.push_back(parse_object());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
+/// One JSON record value in its string form, as record_from_fields reads
+/// it: strings as-is, numbers as their raw token, booleans as true/false,
+/// integer arrays re-joined with '|' to match the CSV series encoding.
+std::string json_field(const JsonValue& v) {
+  switch (v.kind()) {
+    case JsonValue::Kind::kString:
+      return v.as_string();
+    case JsonValue::Kind::kNumber:
+      return v.number_token();
+    case JsonValue::Kind::kBool:
+      return v.as_bool() ? "true" : "false";
+    case JsonValue::Kind::kArray: {
+      std::string out;
+      for (std::size_t i = 0; i < v.array().size(); ++i) {
+        if (i) out += '|';
+        out += v.array()[i].number_token();
       }
-      expect(']');
-      return objects;
-    }
-  }
-
- private:
-  char peek() {
-    HXSP_CHECK_MSG(pos_ < s_.size(), "JSON input truncated");
-    return s_[pos_];
-  }
-
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           (s_[pos_] == ' ' || s_[pos_] == '\n' || s_[pos_] == '\t' ||
-            s_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  void expect(char c) {
-    skip_ws();
-    HXSP_CHECK_MSG(peek() == c, "unexpected character in JSON input");
-    ++pos_;
-  }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      char c = peek();
-      ++pos_;
-      if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      c = peek();
-      ++pos_;
-      switch (c) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'u': {
-          HXSP_CHECK_MSG(pos_ + 4 <= s_.size(), "JSON \\u escape truncated");
-          const unsigned long code =
-              std::strtoul(s_.substr(pos_, 4).c_str(), nullptr, 16);
-          HXSP_CHECK_MSG(code < 0x80, "non-ASCII \\u escape unsupported");
-          out += static_cast<char>(code);
-          pos_ += 4;
-          break;
-        }
-        default:
-          HXSP_CHECK_MSG(false, "unsupported JSON escape");
-      }
-    }
-  }
-
-  std::string parse_scalar() {
-    skip_ws();
-    if (peek() == '"') return parse_string();
-    std::string out;
-    while (pos_ < s_.size()) {
-      const char c = s_[pos_];
-      if (c == ',' || c == '}' || c == ']' || c == ' ' || c == '\n' ||
-          c == '\r' || c == '\t')
-        break;
-      out += c;
-      ++pos_;
-    }
-    HXSP_CHECK_MSG(!out.empty(), "empty JSON scalar");
-    return out;
-  }
-
-  std::string parse_value() {
-    skip_ws();
-    if (peek() != '[') return parse_scalar();
-    ++pos_;  // the only array values are integer series
-    std::string out;
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
       return out;
     }
-    while (true) {
-      if (!out.empty()) out += '|';
-      out += parse_scalar();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return out;
-    }
+    default:
+      HXSP_CHECK_MSG(false, "unsupported value in JSON record");
+      return {};
   }
-
-  std::vector<std::pair<std::string, std::string>> parse_object() {
-    std::vector<std::pair<std::string, std::string>> kv;
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return kv;
-    }
-    while (true) {
-      skip_ws();
-      std::string key = parse_string();
-      expect(':');
-      kv.emplace_back(std::move(key), parse_value());
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return kv;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
+}
 
 /// Column order must match columns(); the single source of the mapping
 /// between a record and its serialized fields.
@@ -795,21 +664,21 @@ std::vector<ResultRecord> ResultSink::merge(
 }
 
 std::vector<ResultRecord> ResultSink::parse_json(const std::string& text) {
-  JsonParser parser(text);
-  const auto objects = parser.parse();
+  const JsonValue doc = JsonValue::parse(text);
+  HXSP_CHECK_MSG(doc.is_array(), "JSON results must be an array of records");
   const auto& cols = columns();
   std::vector<ResultRecord> records;
-  records.reserve(objects.size());
-  for (const auto& obj : objects) {
+  records.reserve(doc.array().size());
+  for (const JsonValue& obj : doc.array()) {
     std::vector<std::string> fields(cols.size());
-    HXSP_CHECK_MSG(obj.size() == cols.size(),
+    HXSP_CHECK_MSG(obj.is_object() && obj.object().size() == cols.size(),
                    "JSON record does not match the shared result schema");
-    for (const auto& [key, value] : obj) {
+    for (const auto& [key, value] : obj.object()) {
       std::size_t col = cols.size();
       for (std::size_t i = 0; i < cols.size(); ++i)
         if (cols[i] == key) { col = i; break; }
       HXSP_CHECK_MSG(col < cols.size(), "unknown key in JSON record");
-      fields[col] = value;
+      fields[col] = json_field(value);
     }
     // JSON booleans arrive as true/false; record_from_fields handles both.
     records.push_back(record_from_fields(fields));

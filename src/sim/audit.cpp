@@ -192,10 +192,10 @@ void Network::run_audit() const {
     });
   }
 
-  // --- parallel-step staging buffers ---------------------------------------
+  // --- step staging buffers -----------------------------------------------
   // Both staging areas live only inside one phase of one step: the link
   // stages between collect and commit, the sharded-credit array between
-  // the worker scan and the serial pass. At any cycle boundary (where
+  // the shards and the ordered walk. At any cycle boundary (where
   // the audit runs) they must be fully drained — a staged-but-uncommitted
   // item here would be a packet or credit missing from every ledger
   // above.

@@ -106,56 +106,55 @@ void Network::handle_consume(const Event& ev, PooledRing<Event>& next) {
                   cfg_.packet_length});
 }
 
+void Network::apply_router_event(const Event& ev, Event& credit) {
+  Router& r = routers_[static_cast<std::size_t>(ev.a)];
+  switch (ev.kind) {
+    case Event::Kind::InDrainDone:
+      r.input_drain_done(*this, ev.port, ev.vc);
+      // Return the freed space upstream, one cycle of credit latency.
+      if (ev.port < r.first_server_port()) {
+        const PortInfo& pi = ctx_.graph->port(ev.a, ev.port);
+        credit = {Event::Kind::CreditRouter, ev.vc, pi.remote_port,
+                  pi.neighbor, cfg_.packet_length};
+      } else {
+        const ServerId srv = static_cast<ServerId>(ev.a) * servers_per_switch_ +
+                             (ev.port - r.first_server_port());
+        credit = {Event::Kind::CreditServer, ev.vc, 0, srv, cfg_.packet_length};
+      }
+      break;
+    case Event::Kind::CreditRouter:
+      r.credit_return(ev.port, ev.vc, static_cast<int>(ev.aux));
+      break;
+    case Event::Kind::OutTailGone:
+      r.output_tail_gone(ev.port, ev.vc, cfg_.packet_length);
+      break;
+    case Event::Kind::CreditServer:
+    case Event::Kind::Consume:
+      HXSP_DCHECK(false); // not router-targeted
+      break;
+  }
+}
+
 void Network::apply_router_event_shard(const PooledRing<Event>& slot, int w,
                                        int workers) {
-  // Every worker scans the whole slot (pure reads — nothing pushes while
-  // workers run) and applies only the router-targeted events of its own
-  // shard: target router ids with a % workers == w. Two workers never
-  // touch the same router, and one router's events are applied by one
-  // worker in slot order — exactly the per-target serial order. The
-  // handlers themselves touch only the target router (plus read-only
+  // Every shard scans the whole slot (pure reads — nothing pushes while
+  // shards run) and applies only the router-targeted events it owns:
+  // target router ids with a % workers == w. Two shards never touch the
+  // same router, and one router's events are applied by one shard in slot
+  // order — exactly the per-target order of the in-order walk. The
+  // handlers touch only the target router (plus read-only
   // config/topology), and events targeting *different* routers commute,
-  // so the post-slot state is identical to the serial loop's for every
-  // worker count. InDrainDone's follow-on credit is precomputed into
-  // staged_credits_ at the event's slot ordinal (each ordinal has
-  // exactly one owner — disjoint writes); the serial pass commits the
-  // credits in slot order so the next slot's contents stay bit-exact.
+  // so the post-slot state is the same for every worker count.
+  // InDrainDone's follow-on credit is staged at the event's slot ordinal
+  // (each ordinal has exactly one owner — disjoint writes); the ordered
+  // walk commits the credits in slot order so the next slot's contents
+  // stay bit-exact.
   std::size_t ord = 0;
   slot.for_each([&](const Event& ev) {
     const std::size_t i = ord++;
-    switch (ev.kind) {
-      case Event::Kind::InDrainDone: {
-        if (ev.a % workers != w) break;
-        Router& r = routers_[static_cast<std::size_t>(ev.a)];
-        r.input_drain_done(*this, ev.port, ev.vc);
-        if (ev.port < r.first_server_port()) {
-          const PortInfo& pi = ctx_.graph->port(ev.a, ev.port);
-          staged_credits_[i] = {Event::Kind::CreditRouter, ev.vc,
-                                pi.remote_port, pi.neighbor,
-                                cfg_.packet_length};
-        } else {
-          const ServerId srv =
-              static_cast<ServerId>(ev.a) * servers_per_switch_ +
-              (ev.port - r.first_server_port());
-          staged_credits_[i] = {Event::Kind::CreditServer, ev.vc, 0, srv,
-                                cfg_.packet_length};
-        }
-        break;
-      }
-      case Event::Kind::CreditRouter:
-        if (ev.a % workers == w)
-          routers_[static_cast<std::size_t>(ev.a)].credit_return(
-              ev.port, ev.vc, static_cast<int>(ev.aux));
-        break;
-      case Event::Kind::OutTailGone:
-        if (ev.a % workers == w)
-          routers_[static_cast<std::size_t>(ev.a)].output_tail_gone(
-              ev.port, ev.vc, cfg_.packet_length);
-        break;
-      case Event::Kind::CreditServer:
-      case Event::Kind::Consume:
-        break; // serial pass: global metrics / workload callbacks / servers
-    }
+    if (ev.kind != Event::Kind::CreditServer &&
+        ev.kind != Event::Kind::Consume && ev.a % workers == w)
+      apply_router_event(ev, staged_credits_[i]);
   });
 }
 
@@ -165,7 +164,7 @@ void Network::process_events() {
   if (slot.empty()) return;
   // Flight recorder: remember the slot's events before applying them (a
   // serial pre-pass, so the ring order is the application order even when
-  // the sharded path below fans out).
+  // the shards below fan out).
   if (flight_) {
     slot.for_each([&](const Event& ev) {
       const bool router_target = ev.kind != Event::Kind::CreditServer &&
@@ -174,14 +173,12 @@ void Network::process_events() {
                       ev.port, ev.vc, ev.aux, router_target);
     });
   }
-  // Every credit this slot emits lands exactly one cycle ahead, so the
-  // destination slot is resolved once and pushed into directly — the
-  // coalesced form of the per-event schedule(now_ + 1, ...) calls. The
-  // next slot is distinct from the current one (wheel size > 1), so
-  // pushing while scanning is safe.
-  PooledRing<Event>& next =
-      wheel_[static_cast<std::size_t>((now_ + 1) & (kWheelSize - 1))];
-  if (step_pool_ != nullptr && slot.size() >= kShardEventsMin) {
+  // With a pool and a full enough slot, the router-targeted events are
+  // applied first by per-worker shards; otherwise the walk below applies
+  // them itself, in slot order.
+  const bool sharded =
+      step_pool_ != nullptr && slot.size() >= kShardEventsMin;
+  if (sharded) {
     staged_credits_.assign(static_cast<std::size_t>(slot.size()), Event{});
     const int workers = step_pool_->size();
     for (int w = 0; w < workers; ++w)
@@ -189,71 +186,45 @@ void Network::process_events() {
         apply_router_event_shard(slot, w, workers);
       });
     step_pool_->wait_idle();
-    // Serial ordered pass: commit the staged credits and run the event
-    // kinds that touch global state (metrics, the workload callback
-    // chain, server credit counters) in exact slot order. The serial
-    // kinds read nothing the workers mutated (Consume touches metrics/
-    // servers/workload; workers touch only router buffers), so the
-    // split cannot change the outcome, only the interleaving of
-    // commutative router updates.
-    std::size_t ord = 0;
-    slot.for_each([&](const Event& ev) {
-      const std::size_t i = ord++;
-      switch (ev.kind) {
-        case Event::Kind::InDrainDone:
-          next.push_back(staged_credits_[i]);
-          break;
-        case Event::Kind::CreditServer:
-          servers_[static_cast<std::size_t>(ev.a)].credit_return(
-              ev.vc, static_cast<int>(ev.aux));
-          break;
-        case Event::Kind::Consume:
-          handle_consume(ev, next);
-          break;
-        case Event::Kind::CreditRouter:
-        case Event::Kind::OutTailGone:
-          break; // applied by the sharded workers
-      }
-    });
-    staged_credits_.clear();
-  } else {
-    slot.for_each([&](const Event& ev) {
-      switch (ev.kind) {
-        case Event::Kind::InDrainDone: {
-          Router& r = routers_[static_cast<std::size_t>(ev.a)];
-          r.input_drain_done(*this, ev.port, ev.vc);
-          // Return the freed space upstream, one cycle of credit latency.
-          if (ev.port < r.first_server_port()) {
-            const PortInfo& pi = ctx_.graph->port(ev.a, ev.port);
-            next.push_back({Event::Kind::CreditRouter, ev.vc, pi.remote_port,
-                            pi.neighbor, cfg_.packet_length});
-          } else {
-            const ServerId srv =
-                static_cast<ServerId>(ev.a) * servers_per_switch_ +
-                (ev.port - r.first_server_port());
-            next.push_back({Event::Kind::CreditServer, ev.vc, 0, srv,
-                            cfg_.packet_length});
-          }
-          break;
-        }
-        case Event::Kind::CreditRouter:
-          routers_[static_cast<std::size_t>(ev.a)].credit_return(
-              ev.port, ev.vc, static_cast<int>(ev.aux));
-          break;
-        case Event::Kind::CreditServer:
-          servers_[static_cast<std::size_t>(ev.a)].credit_return(
-              ev.vc, static_cast<int>(ev.aux));
-          break;
-        case Event::Kind::OutTailGone:
-          routers_[static_cast<std::size_t>(ev.a)].output_tail_gone(
-              ev.port, ev.vc, cfg_.packet_length);
-          break;
-        case Event::Kind::Consume:
-          handle_consume(ev, next);
-          break;
-      }
-    });
   }
+  // Every credit this slot emits lands exactly one cycle ahead, so the
+  // destination slot is resolved once and pushed into directly — the
+  // coalesced form of the per-event schedule(now_ + 1, ...) calls. The
+  // next slot is distinct from the current one (wheel size > 1), so
+  // pushing while scanning is safe.
+  PooledRing<Event>& next =
+      wheel_[static_cast<std::size_t>((now_ + 1) & (kWheelSize - 1))];
+  // Ordered walk: emit the InDrainDone credits and run the event kinds
+  // that touch global state (metrics, the workload callback chain, server
+  // credit counters) in exact slot order. These kinds read nothing the
+  // shards mutated (Consume touches metrics/servers/workload, the shards
+  // only router buffers), so sharding reorders only commutative router
+  // updates — the outcome equals the unsharded walk.
+  std::size_t ord = 0;
+  slot.for_each([&](const Event& ev) {
+    const std::size_t i = ord++;
+    switch (ev.kind) {
+      case Event::Kind::InDrainDone:
+      case Event::Kind::CreditRouter:
+      case Event::Kind::OutTailGone: {
+        Event credit;
+        if (sharded)
+          credit = staged_credits_[i];
+        else
+          apply_router_event(ev, credit);
+        if (ev.kind == Event::Kind::InDrainDone) next.push_back(credit);
+        break;
+      }
+      case Event::Kind::CreditServer:
+        servers_[static_cast<std::size_t>(ev.a)].credit_return(
+            ev.vc, static_cast<int>(ev.aux));
+        break;
+      case Event::Kind::Consume:
+        handle_consume(ev, next);
+        break;
+    }
+  });
+  staged_credits_.clear();
   slot.clear();
 }
 
@@ -290,8 +261,24 @@ void Network::consume_at(PacketPtr pkt, Cycle when, Vc vc) {
 void Network::set_step_pool(ThreadPool* pool) {
   step_pool_ = pool;
   link_stages_.clear();
-  if (pool != nullptr)
-    link_stages_.resize(static_cast<std::size_t>(pool->size()));
+  link_stages_.resize(
+      pool != nullptr ? static_cast<std::size_t>(pool->size()) : 1);
+}
+
+template <typename Fn>
+void Network::run_partitioned(std::size_t n, const Fn& fn) {
+  if (step_pool_ == nullptr || n <= 1) {
+    fn(std::size_t{0}, std::size_t{0}, n);
+    return;
+  }
+  const std::size_t workers = static_cast<std::size_t>(step_pool_->size());
+  const std::size_t per = (n + workers - 1) / workers;
+  for (std::size_t w = 0; w * per < n; ++w) {
+    const std::size_t lo = w * per;
+    const std::size_t hi = std::min(lo + per, n);
+    step_pool_->submit([&fn, w, lo, hi] { fn(w, lo, hi); });
+  }
+  step_pool_->wait_idle();
 }
 
 void Network::commit_link_stages() {
@@ -306,7 +293,7 @@ void Network::commit_link_stages() {
 #ifndef NDEBUG
       // Contiguous ascending partitions + in-order emission: the
       // concatenation is sorted by source router id, i.e. the exact
-      // order the serial link loop visits transmissions.
+      // order an in-order walk of the active routers visits them.
       HXSP_CHECK(t.src >= prev_src);
       prev_src = t.src;
 #endif
@@ -379,30 +366,19 @@ void Network::step() {
   // after alloc so a zero-latency crossbar grant can still transmit in
   // the same cycle (as it would under the full scan).
   phase_scratch_.assign(alloc_active_.begin(), alloc_active_.end());
-  if (step_pool_ && phase_scratch_.size() > 1) {
-    // Two-phase deterministic parallel step. Phase A precomputes routing
-    // candidates — the expensive, RNG-free, read-mostly prefix of the
-    // alloc phase — with the active routers partitioned contiguously
-    // across the pool; each job writes only its own routers' caches, so
-    // the phase is race-free by partition. Phase B (the serial loop
-    // below) then finds every candidate set already cached and performs
-    // requests, grants and RNG draws in exactly the serial order —
-    // bit-identical output at any worker count, including zero.
-    const std::size_t workers =
-        static_cast<std::size_t>(step_pool_->size());
-    const std::size_t per =
-        (phase_scratch_.size() + workers - 1) / workers;
-    for (std::size_t w = 0; w * per < phase_scratch_.size(); ++w) {
-      const std::size_t lo = w * per;
-      const std::size_t hi =
-          std::min(lo + per, phase_scratch_.size());
-      step_pool_->submit([this, lo, hi] {
-        for (std::size_t i = lo; i < hi; ++i)
-          routers_[static_cast<std::size_t>(phase_scratch_[i])]
-              .precompute_candidates(*this, now_);
-      });
-    }
-    step_pool_->wait_idle();
+  if (step_pool_ != nullptr) {
+    // Candidate precompute — the expensive, RNG-free, read-mostly prefix
+    // of the alloc phase — fanned out over the pool; each chunk writes
+    // only its own routers' caches, so the phase is race-free by
+    // partition. The allocation loop below then finds every candidate set
+    // already cached and performs requests, grants and RNG draws in
+    // exactly the serial order. Without a pool it computes them lazily.
+    run_partitioned(phase_scratch_.size(),
+                    [this](std::size_t, std::size_t lo, std::size_t hi) {
+                      for (std::size_t i = lo; i < hi; ++i)
+                        routers_[static_cast<std::size_t>(phase_scratch_[i])]
+                            .precompute_candidates(*this, now_);
+                    });
   }
   for (SwitchId s : phase_scratch_)
     routers_[static_cast<std::size_t>(s)].alloc_phase(*this, now_);
@@ -411,35 +387,23 @@ void Network::step() {
     pt->alloc += t - t_prev;
     t_prev = t;
   }
+  // Link phase: each chunk performs its routers' router-local link work
+  // (RNG-free) and stages the popped transmissions into its own
+  // LinkStage; the commit then replays deliveries, wheel events and link
+  // stats in concatenation order — ascending source router id, the order
+  // of an in-order walk. Deferring deliveries is behaviour-preserving
+  // even within the cycle: a delivery mutates only the *destination*
+  // router's input side, which no link phase reads (the link phase scans
+  // output state only).
   phase_scratch_.assign(link_active_.begin(), link_active_.end());
-  if (step_pool_ != nullptr && phase_scratch_.size() > 1) {
-    // Parallel link phase: the same contiguous ascending partition as
-    // phase A, but over the link-active snapshot. Each worker performs
-    // its routers' router-local link work (RNG-free) and stages the
-    // popped transmissions into its own LinkStage; the serial commit
-    // below then replays deliveries, wheel events and link stats in
-    // concatenation order — exactly the serial loop's order. Deferring
-    // deliveries is behaviour-preserving even within the cycle: a
-    // delivery mutates only the *destination* router's input side, which
-    // no link phase reads (the link phase scans output state only).
-    const std::size_t workers = static_cast<std::size_t>(step_pool_->size());
-    const std::size_t per = (phase_scratch_.size() + workers - 1) / workers;
-    for (std::size_t w = 0; w * per < phase_scratch_.size(); ++w) {
-      const std::size_t lo = w * per;
-      const std::size_t hi = std::min(lo + per, phase_scratch_.size());
-      LinkStage* const stage = &link_stages_[w];
-      step_pool_->submit([this, lo, hi, stage] {
-        for (std::size_t i = lo; i < hi; ++i)
-          routers_[static_cast<std::size_t>(phase_scratch_[i])]
-              .link_phase_collect(cfg_, now_, *stage);
-      });
-    }
-    step_pool_->wait_idle();
-    commit_link_stages();
-  } else {
-    for (SwitchId s : phase_scratch_)
-      routers_[static_cast<std::size_t>(s)].link_phase(*this, now_);
-  }
+  run_partitioned(phase_scratch_.size(),
+                  [this](std::size_t w, std::size_t lo, std::size_t hi) {
+                    LinkStage& stage = link_stages_[w];
+                    for (std::size_t i = lo; i < hi; ++i)
+                      routers_[static_cast<std::size_t>(phase_scratch_[i])]
+                          .link_phase_collect(cfg_, now_, stage);
+                  });
+  commit_link_stages();
   if (pt != nullptr) pt->link += pt->clock() - t_prev; // det-lint: allow(wall-clock)
 
   if (cfg_.watchdog_cycles > 0 && packets_in_system_ > 0 &&

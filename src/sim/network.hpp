@@ -117,7 +117,7 @@ struct StepPhaseTimes {
   double events = 0.0;     ///< process_events (wheel slot application)
   double generation = 0.0; ///< server generation + injection
   double alloc = 0.0;      ///< candidate precompute + allocation
-  double link = 0.0;       ///< link phase (collect + commit when parallel)
+  double link = 0.0;       ///< link phase (collect + commit, always)
 
   double total() const { return events + generation + alloc + link; }
 };
@@ -279,28 +279,33 @@ class Network {
 
   // --- deterministic intra-run parallel stepping ---------------------------
 
-  /// Attaches a worker pool for the parallel phases of step(). Three
-  /// phases fan out across the pool, all bit-identical to serial:
+  /// Attaches a worker pool for the partitioned phases of step(). There
+  /// is one step pipeline: serial stepping is that pipeline with a single
+  /// stage run inline on the calling thread, and a pool only widens the
+  /// stages, so output is bit-identical at every thread count:
   ///
-  ///  1. Candidate precompute — routers partitioned contiguously, each
-  ///     worker precomputing routing candidates (pure, RNG-free); the
-  ///     serial allocation loop then replays them in ascending router id,
-  ///     so every request, grant and RNG draw keeps its serial order.
+  ///  1. Candidate precompute (pool only) — routers partitioned
+  ///     contiguously, each worker precomputing routing candidates (pure,
+  ///     RNG-free); the allocation loop then replays them in ascending
+  ///     router id, so every request, grant and RNG draw keeps its order.
+  ///     Without a pool alloc_phase computes the same candidates lazily.
   ///  2. Link phase — the same contiguous partition of link_active_; each
-  ///     worker pops transmissions into its per-worker LinkStage (router-
-  ///     local mutations only), and a serial commit applies deliveries,
-  ///     wheel events and link stats in concatenation order, which equals
+  ///     stage collects popped transmissions into its LinkStage (router-
+  ///     local mutations only), and a commit applies deliveries, wheel
+  ///     events and link stats in concatenation order, which equals
   ///     (source router id, ordinal) order because partitions are
   ///     contiguous and ascending. The link phase draws no RNG, so the
   ///     replay is exact, not just equivalent.
-  ///  3. Event application — each wheel slot's router-targeted events
-  ///     (InDrainDone / CreditRouter / OutTailGone) are sharded by target
-  ///     router id so workers mutate disjoint routers in per-target slot
-  ///     order; Consume and CreditServer (global metrics, workload
-  ///     callbacks) stay on a serial ordered pass that also commits the
-  ///     credits the workers staged.
+  ///  3. Event application — one ordered walk of each wheel slot applies
+  ///     Consume and CreditServer (global metrics, workload callbacks) in
+  ///     slot order. With a pool and at least kShardEventsMin events, the
+  ///     router-targeted events (InDrainDone / CreditRouter / OutTailGone)
+  ///     are applied first by shards split by target router id, so
+  ///     workers mutate disjoint routers in per-target slot order, and
+  ///     the walk commits the credits they staged; otherwise the walk
+  ///     applies them itself. Both call the same apply_router_event.
   ///
-  /// Pass nullptr to return to fully serial stepping. The pool is
+  /// Pass nullptr to return to single-stage stepping. The pool is
   /// borrowed, not owned, and must outlive the Network (or be detached
   /// first).
   void set_step_pool(ThreadPool* pool);
@@ -332,7 +337,13 @@ class Network {
   void step();
   void process_events();
 
-  /// Sharded event application: worker \p w applies the router-targeted
+  /// Applies one router-targeted event (InDrainDone / CreditRouter /
+  /// OutTailGone) to its target router — the only handler of these kinds.
+  /// InDrainDone's follow-on credit is written to \p credit, not
+  /// scheduled. Touches only the target router.
+  void apply_router_event(const Event& ev, Event& credit);
+
+  /// Sharded event application: shard \p w applies the router-targeted
   /// events of \p slot whose target router id satisfies a % workers == w,
   /// in slot order, and stages each InDrainDone's follow-on credit into
   /// staged_credits_ (indexed by slot ordinal — disjoint writes).
@@ -340,18 +351,24 @@ class Network {
                                 int workers);
 
   /// Applies one Consume event (metrics, time series, workload callback,
-  /// eject credit into \p next). Serial path only.
+  /// eject credit into \p next). Ordered walk only.
   void handle_consume(const Event& ev, PooledRing<Event>& next);
 
-  /// Serial commit of the parallel link phase: replays every staged
-  /// transmission (wheel events, link stats, delivery/consumption,
-  /// watchdog progress) in the exact order the serial loop would have
-  /// produced, then retires routers whose output work drained.
+  /// Runs fn(chunk, lo, hi) over a contiguous ascending partition of
+  /// [0, n), one chunk per pool worker, and joins. Without a pool, or for
+  /// n <= 1, the single chunk (0, 0, n) runs inline on the calling thread.
+  template <typename Fn>
+  void run_partitioned(std::size_t n, const Fn& fn);
+
+  /// Commit of the link phase: replays every staged transmission (wheel
+  /// events, link stats, delivery/consumption, watchdog progress) in
+  /// ascending source router order, then retires routers whose output
+  /// work drained.
   void commit_link_stages();
 
-  /// Events below this slot size are applied serially even with a pool
-  /// attached — the fan-out/join costs more than the scan. Small enough
-  /// that modest test networks still exercise the sharded path.
+  /// Events below this slot size are applied by the ordered walk even
+  /// with a pool attached — the fan-out/join costs more than the scan.
+  /// Small enough that modest test networks still exercise the shards.
   static constexpr int kShardEventsMin = 16;
 
   NetworkContext ctx_;
@@ -398,11 +415,13 @@ class Network {
   ThreadPool* step_pool_ = nullptr; ///< borrowed; null = serial stepping
   StepPhaseTimes* phase_times_ = nullptr; ///< borrowed; null = no profiling
 
-  /// Per-worker staging buffers of the parallel link phase (sized to the
-  /// pool on set_step_pool; all empty outside the link phase — audited).
-  std::vector<LinkStage> link_stages_;
+  /// Per-chunk staging buffers of the link phase: one without a pool,
+  /// pool->size() with one (see set_step_pool); all empty outside the
+  /// link phase — audited.
+  std::vector<LinkStage> link_stages_ = std::vector<LinkStage>(1);
   /// Sharded event application: slot-ordinal-indexed credits staged by
-  /// workers, committed by the serial pass (empty outside process_events).
+  /// the shards, committed by the ordered walk (empty outside
+  /// process_events).
   std::vector<Event> staged_credits_;
 
   Cycle now_ = 0;

@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
+
+#include "util/check.hpp"
 
 namespace hxsp {
 
@@ -131,7 +134,14 @@ ShapeFault star_fault(const HyperX& hx, SwitchId center, int segment) {
 }
 
 void apply_faults(Graph& g, const std::vector<LinkId>& links) {
-  for (LinkId l : links) g.fail_link(l);
+  for (LinkId l : links) {
+    HXSP_CHECK_MSG(l >= 0 && l < g.num_links(),
+                   ("fault_links: link id " + std::to_string(l) +
+                    " out of range, the topology has " +
+                    std::to_string(g.num_links()) + " links")
+                       .c_str());
+    g.fail_link(l);
+  }
 }
 
 } // namespace hxsp

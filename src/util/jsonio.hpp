@@ -3,9 +3,10 @@
 /// Minimal JSON tree reader/writer for the harness serialization layer.
 ///
 /// The distributed sweep API ships ExperimentSpecs and TaskSpecs between
-/// processes as JSON, which needs nested objects and arrays — more than
-/// the flat-record parser inside ResultSink. This utility provides the
-/// smallest tree model that round-trips those payloads losslessly:
+/// processes as JSON, which needs nested objects and arrays; ResultSink's
+/// JSON result files are read through the same parser. This utility
+/// provides the smallest tree model that round-trips those payloads
+/// losslessly:
 /// numbers are kept as their raw tokens (written with 17 significant
 /// digits for doubles), so parse(write(x)) == x bit-exactly, the same
 /// contract ResultSink established for persisted results.

@@ -73,7 +73,8 @@ TEST(Polarized, Table1ExhaustiveOn2D) {
 
 TEST(Polarized, MinimalHopAlwaysOfferedFaultFree) {
   // In a fault-free Hamming graph some candidate always exists while
-  // c != t (see DESIGN.md); in particular a hop decreasing d(c,t).
+  // c != t — in particular a hop decreasing d(c,t), since some coordinate
+  // of c still differs from t's. Checked exhaustively on a 3x3.
   auto t = make_net(3, 3);
   PolarizedAlgorithm algo;
   std::vector<PortCand> out;

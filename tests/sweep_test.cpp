@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "harness/experiment.hpp"
 #include "topology/builders.hpp"
 
@@ -133,6 +135,13 @@ struct PatternParam {
   int side;
   int sps;
 };
+
+// Names each case from its fields: gtest's default printer dumps the raw
+// bytes of the struct, and the `pattern` pointer changes from run to run.
+void PrintTo(const PatternParam& p, std::ostream* os) {
+  *os << p.pattern << "_dims" << p.dims << "_side" << p.side << "_sps"
+      << p.sps;
+}
 
 class PatternAdmissibility : public ::testing::TestWithParam<PatternParam> {};
 

@@ -4,11 +4,12 @@
 /// re-serialization), a round-tripped spec produces bit-identical
 /// simulation results, manifests round-trip as a whole, and the TaskGrid
 /// id/shard machinery is deterministic (shards partition the grid, their
-/// union is the grid).
+/// union is the grid). Bad spec fields abort with a message naming them.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "harness/grid.hpp"
 #include "harness/sweep.hpp"
@@ -200,6 +201,41 @@ TEST(TaskSpecCodec, RoundTrippedTaskRunsBitIdentically) {
   EXPECT_EQ(a.p99_latency, b.p99_latency);
   EXPECT_EQ(a.cycles, b.cycles);
   EXPECT_EQ(a.packets, b.packets);
+}
+
+// ---------------------------------------------------------------------------
+// Spec boundary: one-field edits of an emitted task that once crashed with
+// a signal or ran to a silently wrong row must abort naming the field.
+// ---------------------------------------------------------------------------
+
+/// The JSON of an emitted rate task with the serialized text \p from
+/// (which must occur exactly once) replaced by \p to.
+std::string edited_task_json(const std::string& from, const std::string& to) {
+  std::string text = TaskSpec::rate(small_spec(), 0.5).to_json();
+  const std::size_t at = text.find(from);
+  if (at == std::string::npos || text.find(from, at + 1) != std::string::npos) {
+    ADD_FAILURE() << "'" << from << "' does not occur exactly once in " << text;
+    return text;
+  }
+  return text.replace(at, from.size(), to);
+}
+
+TEST(SpecBoundaryDeathTest, ZeroXbarSpeedupNamesField) {
+  const std::string text =
+      edited_task_json("\"xbar_speedup\":2", "\"xbar_speedup\":0");
+  EXPECT_DEATH(run_task(TaskSpec::from_json_text(text)), "sim.xbar_speedup");
+}
+
+TEST(SpecBoundaryDeathTest, ZeroVcsNamesField) {
+  const std::string text = edited_task_json("\"num_vcs\":4", "\"num_vcs\":0");
+  EXPECT_DEATH(run_task(TaskSpec::from_json_text(text)), "sim.num_vcs");
+}
+
+TEST(SpecBoundaryDeathTest, OutOfRangeFaultLinkNamesField) {
+  const std::string text =
+      edited_task_json("\"fault_links\":[]", "\"fault_links\":[999999]");
+  EXPECT_DEATH(run_task(TaskSpec::from_json_text(text)),
+               "fault_links: link id 999999 out of range");
 }
 
 // ---------------------------------------------------------------------------

@@ -72,18 +72,19 @@ for entry in "${DRIVERS[@]}"; do
 done
 
 # Invariant auditor smoke (see sim/audit.cpp): re-run the fig06 grid with
-# the audit enabled every 64 cycles — every incremental engine structure
-# is recomputed from scratch and cross-checked, aborting on mismatch —
+# the audit enabled every cycle — every incremental engine structure is
+# recomputed from scratch and cross-checked, aborting on mismatch, and the
+# head-parking exactness check sees every parked head of the faulted grid —
 # and require the CSV to stay byte-identical to the audit-off run above
 # (the auditor reads everything, mutates nothing).
 if [[ -x "$BUILD_DIR/fig06_random_faults" && -s "$WORK_DIR/fig06_random_faults.csv" ]]; then
   if "$BUILD_DIR/fig06_random_faults" --side=4 --warmup=200 --measure=400 \
-       --steps=2 --max-faults=4 --audit=64 --jobs=2 \
+       --steps=2 --max-faults=4 --audit=1 --jobs=2 \
        --csv="$WORK_DIR/fig06_audit.csv" > "$WORK_DIR/fig06_audit.out" 2>&1 &&
      cmp -s "$WORK_DIR/fig06_audit.csv" "$WORK_DIR/fig06_random_faults.csv"; then
-    echo "OK      invariant audit (--audit=64, CSV identical to audit-off)"
+    echo "OK      invariant audit (--audit=1, CSV identical to audit-off)"
   else
-    echo "FAIL    invariant audit (--audit=64)"
+    echo "FAIL    invariant audit (--audit=1)"
     tail -5 "$WORK_DIR/fig06_audit.out"
     FAILED=1
   fi

@@ -1,6 +1,7 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "telemetry/capture.hpp"
 #include "topology/computed_distance.hpp"
@@ -353,6 +354,13 @@ DynamicResult Experiment::run_load_dynamic(double offered,
                                            std::vector<FaultEvent> events) {
   std::sort(events.begin(), events.end(),
             [](const FaultEvent& a, const FaultEvent& b) { return a.at < b.at; });
+  const LinkId num_links = hx_->graph().num_links();
+  for (const FaultEvent& ev : events)
+    HXSP_CHECK_MSG(ev.link >= 0 && ev.link < num_links,
+                   ("events[].link: link id " + std::to_string(ev.link) +
+                    " out of range, the topology has " +
+                    std::to_string(num_links) + " links")
+                       .c_str());
 
   const int sps = hx_->servers_per_switch();
   Network net(ctx_, *mech_, *traffic_, spec_.sim, sps,

@@ -31,7 +31,7 @@
 
 namespace hxsp {
 
-void Router::audit_local(const SimConfig& cfg) const {
+void Router::audit_local(const SimConfig& cfg, Cycle now) const {
   const int len = cfg.packet_length;
   HXSP_CHECK_MSG(len == len_ && outbuf_cap_ == cfg.output_buffer_phits(),
                  "audit: router config drifted from construction");
@@ -59,12 +59,34 @@ void Router::audit_local(const SimConfig& cfg) const {
       // The head gate is a max of known lower bounds; each bound must
       // still hold (a gate below one would let a head request early —
       // an RNG draw the full rescan would not make).
-      Cycle bound = iv.q.front()->buf_head;
-      if (iv.draining && iv.drain_until > bound) bound = iv.drain_until;
-      const Cycle xbar = in_xbar_free_[static_cast<std::size_t>(p)];
-      if (xbar > bound) bound = xbar;
-      HXSP_CHECK_MSG(in_gate_[vc_index(p, v)] >= bound,
+      const std::size_t enc = vc_index(p, v);
+      const Cycle gate = in_gate_[enc];
+      const Cycle bound = input_bound(enc);
+      HXSP_CHECK_MSG(gate >= bound,
                      "audit: head gate below a known lower bound");
+      // Parking exactness: a head parked past now and its input side must
+      // be unable to request before its gate, and must be woken if that
+      // changes. Per candidate: feasible with the output crossbar busy
+      // until at least the gate, or infeasible with the head in the VC's
+      // waiter set (a grant there needs a 0→1 edge, which wakes it).
+      if (gate <= now || gate <= bound) continue;
+      HXSP_CHECK_MSG(iv.cand_valid,
+                     "audit: parked head has no cached candidate set");
+      for (const Candidate& c : iv.cand) {
+        const OutputPort& cop = outputs_[static_cast<std::size_t>(c.port)];
+        if ((cop.feasible_mask >> static_cast<unsigned>(c.vc)) & 1u) {
+          HXSP_CHECK_MSG(cop.xbar_free_at >= gate,
+                         "audit: parked head has a feasible candidate "
+                         "grantable before its gate");
+        } else {
+          const std::int32_t slot =
+              out_vcs_[vc_index(c.port, c.vc)].waiter_slot;
+          HXSP_CHECK_MSG(
+              slot >= 0 && ((waiter_words(slot)[enc / 64] >> (enc % 64)) & 1u),
+              "audit: parked head missing from an infeasible candidate's "
+              "waiter set");
+        }
+      }
     }
   }
   HXSP_CHECK_MSG(static_cast<int>(active_.size()) == active_count,
@@ -96,6 +118,9 @@ void Router::audit_local(const SimConfig& cfg) const {
                      "audit: feasibility mask drifted from recomputation");
       score_sum += qs;
       port_waiting += ov.q.size();
+      // A VC holds waiters only while infeasible: its 0→1 edge drains them.
+      HXSP_CHECK_MSG(ov.waiter_slot < 0 || !feasible,
+                     "audit: feasible output VC still holds waiters");
     }
     HXSP_CHECK_MSG(op.score_sum == score_sum,
                    "audit: per-port score sum drifted from recomputation");
@@ -111,6 +136,29 @@ void Router::audit_local(const SimConfig& cfg) const {
                  "audit: router waiting total drifted");
   HXSP_CHECK_MSG(std::is_sorted(link_ports_.begin(), link_ports_.end()),
                  "audit: link port list not sorted");
+
+  // --- waiter slots: each held by one VC or free (and then clear) ---------
+  const std::size_t slots =
+      waiter_bits_.size() / static_cast<std::size_t>(waiter_words_);
+  std::vector<int> owners(slots, 0);
+  for (const OutputVc& ov : out_vcs_) {
+    if (ov.waiter_slot < 0) continue;
+    HXSP_CHECK_MSG(static_cast<std::size_t>(ov.waiter_slot) < slots,
+                   "audit: waiter slot out of range");
+    ++owners[static_cast<std::size_t>(ov.waiter_slot)];
+  }
+  for (const std::int32_t slot : waiter_free_) {
+    HXSP_CHECK_MSG(slot >= 0 && static_cast<std::size_t>(slot) < slots,
+                   "audit: free waiter slot out of range");
+    ++owners[static_cast<std::size_t>(slot)];
+    const std::uint64_t* const words = waiter_words(slot);
+    HXSP_CHECK_MSG(std::all_of(words, words + waiter_words_,
+                               [](std::uint64_t w) { return w == 0; }),
+                   "audit: free waiter slot not cleared");
+  }
+  HXSP_CHECK_MSG(std::all_of(owners.begin(), owners.end(),
+                             [](int n) { return n == 1; }),
+                 "audit: waiter slot leaked or shared");
 }
 
 void Network::run_audit() const {
@@ -118,7 +166,7 @@ void Network::run_audit() const {
   const int num_vcs = cfg_.num_vcs;
 
   // --- per-router recomputation -------------------------------------------
-  for (const Router& r : routers_) r.audit_local(cfg_);
+  for (const Router& r : routers_) r.audit_local(cfg_, now_);
 
   // --- network-level active sets ------------------------------------------
   std::vector<SwitchId> alloc_expect;

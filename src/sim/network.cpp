@@ -446,6 +446,12 @@ void Network::on_link_failed(LinkId failed) {
   note_progress(); // recovery counts as progress for the watchdog
 }
 
+AllocCounters Network::alloc_counters() const {
+  AllocCounters sum;
+  for (const Router& r : routers_) sum += r.alloc_counters();
+  return sum;
+}
+
 void Network::export_telemetry(TelemetryCapture& out) {
   out = TelemetryCapture{};
   out.packet_length = cfg_.packet_length;

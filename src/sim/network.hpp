@@ -277,6 +277,10 @@ class Network {
   /// Packets lost to runtime link failures so far.
   long dropped_packets() const { return dropped_packets_; }
 
+  /// Allocator activity counts summed over every router (see
+  /// AllocCounters): deterministic, so they compare exactly across runs.
+  AllocCounters alloc_counters() const;
+
   // --- deterministic intra-run parallel stepping ---------------------------
 
   /// Attaches a worker pool for the partitioned phases of step(). There

@@ -27,6 +27,7 @@ Router::Router(SwitchId id, int num_switch_ports, int num_server_ports,
   out_qs_.assign(total_vcs, 0);
   out_head_.assign(total_vcs, kNeverReady);
   in_gate_.assign(total_vcs, 0);
+  waiter_words_ = static_cast<int>((total_vcs + 63) / 64);
   outputs_ = std::vector<OutputPort>(static_cast<std::size_t>(total_ports));
   for (Port p = 0; p < static_cast<Port>(total_ports); ++p)
     for (Vc v = 0; v < num_vcs_; ++v) update_feasible(p, v);
@@ -61,18 +62,15 @@ void Router::push_input(Network& net, PacketPtr pkt, Port port, Vc vc,
   pkt->buf_tail = tail;
   iv.occupancy += pkt->length;
   HXSP_DCHECK(iv.occupancy <= net.cfg().input_buffer_phits());
-  if (iv.q.empty()) {
+  const bool fresh_head = iv.q.empty();
+  iv.q.push_back(std::move(pkt));
+  if (fresh_head) {
     iv.cand_valid = false;
     // Fresh head: it can first request once its head phit is here, any
     // in-progress drain of this VC finished, and the input port's
     // crossbar is free again.
-    Cycle gate = head;
-    if (iv.drain_until > gate) gate = iv.drain_until;
-    const Cycle xbar = in_xbar_free_[static_cast<std::size_t>(port)];
-    if (xbar > gate) gate = xbar;
-    in_gate_[vc_index(port, vc)] = gate;
+    in_gate_[vc_index(port, vc)] = input_bound(vc_index(port, vc));
   }
-  iv.q.push_back(std::move(pkt));
   mark_active(net, port, vc);
 }
 
@@ -125,6 +123,10 @@ void Router::alloc_phase(Network& net, Cycle now) {
   if (active_.empty()) return;
   const SimConfig& cfg = net.cfg();
   const int len = cfg.packet_length;
+  // Counted locally and added once: stores into the Cycle arrays below
+  // could alias the int64 members, which would pin every increment to
+  // memory.
+  AllocCounters count;
 
   // --- request phase: every eligible head posts one request ---------------
   for (std::size_t ai = 0; ai < active_.size(); ++ai) {
@@ -140,17 +142,20 @@ void Router::alloc_phase(Network& net, Cycle now) {
     HXSP_DCHECK(in_xbar_free_[static_cast<std::size_t>(enc / num_vcs_)] <= now);
 
     if (!iv.cand_valid) compute_candidates(net, iv);
+    ++count.scans;
+    count.cand_evals += static_cast<std::int64_t>(iv.cand.size());
     if (iv.cand.empty()) {
       // Stuck: no legal move at all (e.g. DOR + fault). Only a table
       // rebuild can change that, and it resets the gate.
+      ++count.fruitless;
       in_gate_[static_cast<std::size_t>(enc)] =
           std::numeric_limits<Cycle>::max();
       continue;
     }
 
     // Single request: the feasible candidate minimising Q + P. While
-    // scanning, accumulate the earliest cycle any blocked candidate could
-    // become grantable, so a fruitless scan parks the head until then.
+    // scanning, accumulate the earliest crossbar release of the feasible
+    // candidates, so a fruitless scan parks the head until then.
     int best_score = std::numeric_limits<int>::max();
     int best_idx = -1;
     int ties = 0;
@@ -158,15 +163,14 @@ void Router::alloc_phase(Network& net, Cycle now) {
     for (std::size_t i = 0; i < iv.cand.size(); ++i) {
       const Candidate& c = iv.cand[i];
       const OutputPort& op = outputs_[static_cast<std::size_t>(c.port)];
+      // Credits or space missing: a fruitless scan parks the head on this
+      // VC's waiter set, which wakes it when the VC turns feasible.
+      if ((op.feasible_mask & (1u << static_cast<unsigned>(c.vc))) == 0)
+        continue;
       if (op.xbar_free_at > now) {
         // Release times only move forward: this candidate cannot be
         // granted before op.xbar_free_at, whatever else happens.
         if (op.xbar_free_at < wake) wake = op.xbar_free_at;
-        continue;
-      }
-      if ((op.feasible_mask & (1u << static_cast<unsigned>(c.vc))) == 0) {
-        // Credits or space missing; either could return next cycle.
-        wake = now + 1;
         continue;
       }
       const int score = queue_score(c.port, c.vc) + c.penalty;
@@ -182,10 +186,18 @@ void Router::alloc_phase(Network& net, Cycle now) {
     }
     if (best_idx < 0) {
       // No request this cycle (a state the full rescan would also reach
-      // with zero side effects every cycle until `wake`): park the head.
+      // with zero side effects until `wake` or until an infeasible
+      // candidate turns feasible): park the head. Only fruitless scans
+      // register — a head that requested and lost rescans next cycle.
+      ++count.fruitless;
       in_gate_[static_cast<std::size_t>(enc)] = wake;
+      for (const Candidate& c : iv.cand)
+        if ((outputs_[static_cast<std::size_t>(c.port)].feasible_mask &
+             (1u << static_cast<unsigned>(c.vc))) == 0)
+          add_waiter(c.port, c.vc, enc);
       continue;
     }
+    ++count.requests;
     const Candidate& c = iv.cand[static_cast<std::size_t>(best_idx)];
     auto& reqs = pending_[static_cast<std::size_t>(c.port)];
     if (reqs.empty()) dirty_outputs_.push_back(c.port);
@@ -218,6 +230,7 @@ void Router::alloc_phase(Network& net, Cycle now) {
       }
     }
     if (best >= 0) {
+      ++count.grants;
       const Request req = reqs[static_cast<std::size_t>(best)];
       // ---- commit the grant --------------------------------------------
       InputVc& iv = inputs_[static_cast<std::size_t>(req.in_enc)];
@@ -294,6 +307,7 @@ void Router::alloc_phase(Network& net, Cycle now) {
     reqs.clear();
   }
   dirty_outputs_.clear();
+  counters_ += count;
 }
 
 void Router::link_phase_collect(const SimConfig& cfg, Cycle now,
@@ -325,6 +339,51 @@ void Router::link_phase_collect(const SimConfig& cfg, Cycle now,
   }
 }
 
+void Router::add_waiter(Port p, Vc v, std::int32_t enc) {
+  OutputVc& ov = output_vc_mut(p, v);
+  if (ov.waiter_slot < 0) {
+    if (!waiter_free_.empty()) {
+      ov.waiter_slot = waiter_free_.back();
+      waiter_free_.pop_back();
+    } else {
+      ov.waiter_slot = static_cast<std::int32_t>(
+          waiter_bits_.size() / static_cast<std::size_t>(waiter_words_));
+      waiter_bits_.resize(waiter_bits_.size() +
+                          static_cast<std::size_t>(waiter_words_), 0);
+    }
+  }
+  waiter_words(ov.waiter_slot)[enc / 64] |=
+      std::uint64_t{1} << static_cast<unsigned>(enc % 64);
+}
+
+void Router::wake_waiters(const OutputPort& op, OutputVc& ov) {
+  std::uint64_t* const words = waiter_words(ov.waiter_slot);
+  std::int64_t woken = 0;
+  for (int w = 0; w < waiter_words_; ++w) {
+    std::uint64_t bits = words[w];
+    words[w] = 0;
+    while (bits != 0) {
+      const std::size_t enc = static_cast<std::size_t>(w) * 64 +
+                              static_cast<std::size_t>(__builtin_ctzll(bits));
+      bits &= bits - 1;
+      // A registration goes stale when its head is granted through
+      // another candidate. An emptied VC has no head to wake; a new head
+      // at worst rescans once.
+      if (inputs_[enc].q.empty()) continue;
+      // The earliest this VC could grant the head: the input side is
+      // ready and the output crossbar released. Later state changes can
+      // only push that later, so the min with the parked gate is a bound.
+      Cycle t = input_bound(enc);
+      if (op.xbar_free_at > t) t = op.xbar_free_at;
+      if (t < in_gate_[enc]) in_gate_[enc] = t;
+      ++woken;
+    }
+  }
+  counters_.wakes += woken;
+  waiter_free_.push_back(ov.waiter_slot);
+  ov.waiter_slot = -1;
+}
+
 void Router::input_drain_done(Network& net, Port port, Vc vc) {
   InputVc& iv = input_mut(port, vc);
   HXSP_DCHECK(iv.draining);
@@ -341,22 +400,22 @@ void Router::on_tables_rebuilt() {
       // Drop the (stale-candidate-based) output park bound from the gate
       // but keep the exact input-side bounds, so every head rescans as
       // soon as it legally can on the new tables.
-      Cycle gate = 0;
-      if (!iv.q.empty()) {
-        gate = iv.q.front()->buf_head;
-        if (iv.drain_until > gate) gate = iv.drain_until;
-        const Cycle xbar = in_xbar_free_[static_cast<std::size_t>(p)];
-        if (xbar > gate) gate = xbar;
-      }
-      in_gate_[vc_index(p, v)] = gate;
+      const std::size_t enc = vc_index(p, v);
+      in_gate_[enc] = iv.q.empty() ? 0 : input_bound(enc);
       // Strict-phase escape liveness is proven per table build; restart
       // the phase so every packet re-derives a valid route on the new
       // tables.
       for (int i = 0; i < iv.q.size(); ++i) iv.q[i]->escape_gone_down = false;
     }
   }
-  for (auto& ov : out_vcs_)
+  // Every head now rescans at its input-side bound, so no waiter set is
+  // needed any more.
+  for (auto& ov : out_vcs_) {
     for (int i = 0; i < ov.q.size(); ++i) ov.q[i]->escape_gone_down = false;
+    ov.waiter_slot = -1;
+  }
+  waiter_bits_.clear();
+  waiter_free_.clear();
 }
 
 int Router::drop_output_queue(Network& net, Port port) {
@@ -383,6 +442,23 @@ int Router::drop_output_queue(Network& net, Port port) {
     if (waiting_total_ == 0) net.router_link_deactivated(id_);
   }
   return dropped;
+}
+
+bool Router::corrupt_waiters_for_test(Cycle now) {
+  for (const std::int32_t enc : active_) {
+    const std::size_t i = static_cast<std::size_t>(enc);
+    if (in_gate_[i] <= now || in_gate_[i] <= input_bound(i)) continue;
+    for (const Candidate& c : inputs_[i].cand) {
+      const std::int32_t slot = output_vc_mut(c.port, c.vc).waiter_slot;
+      if (slot < 0) continue;
+      std::uint64_t& word = waiter_words(slot)[i / 64];
+      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+      if ((word & bit) == 0) continue;
+      word &= ~bit;
+      return true;
+    }
+  }
+  return false;
 }
 
 int Router::buffered_packets() const {

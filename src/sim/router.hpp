@@ -28,7 +28,16 @@
 /// updated at the four mutation sites: grant commit, tail departure,
 /// credit return, dead-link drop), so scoring one candidate is O(1)
 /// instead of O(num_vcs) — it is the innermost arithmetic of the engine,
-/// evaluated per candidate per active head per cycle.
+/// evaluated per candidate per scanned head.
+///
+/// Head parking: a head whose scan posts no request sleeps until one of
+/// its candidates could be granted. A candidate that is feasible but whose
+/// output crossbar is busy bounds the sleep by its known release cycle; an
+/// infeasible one (credits or output space missing) registers the head in
+/// that output VC's waiter set, and update_feasible — the one funnel of
+/// every credit/space mutation — wakes the set when the VC turns feasible.
+/// Parked heads are exactly heads that could not post a request, and a
+/// fruitless scan draws no RNG, so parking changes no simulated outcome.
 ///
 /// All packet queues are bounded by flow control, so they live in
 /// fixed-capacity ring buffers (util/ringbuf.hpp) instead of deques; see
@@ -72,6 +81,9 @@ struct OutputVc {
   int occupancy = 0;        ///< phits reserved (grant) until tail departs
   int credits = 0;          ///< free phits in the downstream input buffer
   int base_credits = 0;     ///< downstream capacity (for consumed-credit Q)
+  std::int32_t waiter_slot = -1; ///< this VC's waiter set in
+                                 ///< Router::waiter_bits_, -1 = no waiters
+                                 ///< (held only while infeasible)
 };
 
 /// Per-output-port state shared by its VCs (kept small: the link phase
@@ -89,6 +101,44 @@ struct OutputPort {
                                    ///< buffer space for one whole packet
                                    ///< (virtual cut-through feasibility),
                                    ///< updated wherever either input moves
+};
+
+/// Deterministic allocator activity counts of one router (summed by
+/// Network::alloc_counters). Always on: plain increments on paths that
+/// already touch the same lines, and functions of the simulation alone —
+/// identical at any step-thread count and with the auditor on or off.
+struct AllocCounters {
+  std::int64_t scans = 0;      ///< gate-open head scans
+  std::int64_t fruitless = 0;  ///< scans that posted no request (parks)
+  std::int64_t requests = 0;   ///< requests posted
+  std::int64_t grants = 0;     ///< grants committed
+  std::int64_t cand_evals = 0; ///< candidates examined by scans
+  std::int64_t wakes = 0;      ///< parked heads woken by a feasibility rise
+
+  AllocCounters& operator+=(const AllocCounters& o) {
+    scans += o.scans;
+    fruitless += o.fruitless;
+    requests += o.requests;
+    grants += o.grants;
+    cand_evals += o.cand_evals;
+    wakes += o.wakes;
+    return *this;
+  }
+  AllocCounters operator-(const AllocCounters& o) const {
+    AllocCounters d = *this;
+    d.scans -= o.scans;
+    d.fruitless -= o.fruitless;
+    d.requests -= o.requests;
+    d.grants -= o.grants;
+    d.cand_evals -= o.cand_evals;
+    d.wakes -= o.wakes;
+    return d;
+  }
+  bool operator==(const AllocCounters& o) const {
+    return scans == o.scans && fruitless == o.fruitless &&
+           requests == o.requests && grants == o.grants &&
+           cand_evals == o.cand_evals && wakes == o.wakes;
+  }
 };
 
 /// One transmission popped by the link phase, awaiting its commit (wheel
@@ -225,17 +275,24 @@ class Router {
   /// Total packets buffered in this router (inputs + outputs).
   int buffered_packets() const;
 
+  /// Allocator activity counts since construction.
+  const AllocCounters& alloc_counters() const { return counters_; }
+
   /// Debug invariant sweep: occupancies within bounds, credits sane.
   void check_invariants(const SimConfig& cfg) const;
 
   /// Auditor (sim/audit.cpp): recomputes every incrementally maintained
   /// router structure from first principles — per-VC qs and per-port score
   /// sums, feasibility masks, out-head caches, waiting counts, the active
-  /// input list and its back-pointers, head gates — and aborts on drift.
-  /// Strictly stronger than check_invariants (exact equalities, not
-  /// bounds). Wheel-dependent ledgers (in-flight credits, pending tail
+  /// input list and its back-pointers, head gates, waiter sets — and
+  /// aborts on drift. Strictly stronger than check_invariants (exact
+  /// equalities, not bounds). Parking exactness: every head parked past
+  /// \p now and its input-side bound has, for each candidate, either a
+  /// feasible VC whose crossbar is busy until at least the gate or a
+  /// waiter-set registration on the infeasible VC — so no wake can be
+  /// missed. Wheel-dependent ledgers (in-flight credits, pending tail
   /// departures) are cross-checked by Network::run_audit.
-  void audit_local(const SimConfig& cfg) const;
+  void audit_local(const SimConfig& cfg, Cycle now) const;
 
   /// Test-only mutable state access, for injecting incremental-state
   /// corruption that the auditor must catch. Never used by the engine.
@@ -246,6 +303,10 @@ class Router {
   Cycle& corrupt_out_head_for_test(Port p, Vc v) {
     return out_head_[vc_index(p, v)];
   }
+  /// Clears one waiter-set bit of a head parked past \p now and its
+  /// input-side bound — a missed registration. Returns false when no such
+  /// head is registered anywhere.
+  bool corrupt_waiters_for_test(Cycle now);
 
  private:
   friend class Network;
@@ -259,15 +320,49 @@ class Router {
   OutputVc& output_vc_mut(Port p, Vc v) { return out_vcs_[vc_index(p, v)]; }
 
   /// Recomputes output (p,v)'s bit of OutputPort::feasible_mask from its
-  /// credit and occupancy state. Called at every mutation site.
+  /// credit and occupancy state. Called at every mutation site (credit
+  /// return, tail departure, grant, dead-link drop), so it is also where
+  /// parked heads wake: a VC holds waiters only while infeasible, so a
+  /// feasible VC with a waiter set has just made its 0→1 transition.
   void update_feasible(Port p, Vc v) {
-    const OutputVc& ov = out_vcs_[vc_index(p, v)];
+    OutputVc& ov = out_vcs_[vc_index(p, v)];
     const std::uint32_t bit = 1u << static_cast<unsigned>(v);
     OutputPort& op = outputs_[static_cast<std::size_t>(p)];
-    if (ov.credits >= len_ && ov.occupancy + len_ <= outbuf_cap_)
+    if (ov.credits >= len_ && ov.occupancy + len_ <= outbuf_cap_) {
       op.feasible_mask |= bit;
-    else
+      if (ov.waiter_slot >= 0) wake_waiters(op, ov);
+    } else {
       op.feasible_mask &= ~bit;
+    }
+  }
+
+  /// Earliest cycle the head of input \p enc could request judging by the
+  /// input side alone: its head phit's arrival, the VC's previous drain
+  /// and the input port's crossbar release. The queue must be non-empty.
+  Cycle input_bound(std::size_t enc) const {
+    Cycle bound = inputs_[enc].q.front()->buf_head;
+    if (inputs_[enc].drain_until > bound) bound = inputs_[enc].drain_until;
+    const Cycle xbar = in_xbar_free_[enc / static_cast<std::size_t>(num_vcs_)];
+    return xbar > bound ? xbar : bound;
+  }
+
+  /// Registers input \p enc in the waiter set of output (p,v), taking a
+  /// slot for the set if it has none.
+  void add_waiter(Port p, Vc v, std::int32_t enc);
+
+  /// Drains \p ov's waiter set (its VC on \p op just turned feasible):
+  /// each waiting head's gate drops to at most the earliest cycle that VC
+  /// could grant it, and the slot returns to the free list.
+  void wake_waiters(const OutputPort& op, OutputVc& ov);
+
+  /// Words of the waiter bitset at \p slot.
+  std::uint64_t* waiter_words(std::int32_t slot) {
+    return waiter_bits_.data() + static_cast<std::size_t>(slot) *
+                                     static_cast<std::size_t>(waiter_words_);
+  }
+  const std::uint64_t* waiter_words(std::int32_t slot) const {
+    return waiter_bits_.data() + static_cast<std::size_t>(slot) *
+                                     static_cast<std::size_t>(waiter_words_);
   }
 
   /// Adds (port,vc) to the active list if absent (notifying the network
@@ -306,17 +401,31 @@ class Router {
   static constexpr Cycle kNeverReady = std::numeric_limits<Cycle>::max();
   std::vector<Cycle> in_xbar_free_; ///< per input port
   std::vector<std::int32_t> active_; ///< encoded (port*V+vc) of non-empty inputs
-  /// Head gate per input (port,vc): the earliest cycle the current head
-  /// could possibly post a request — the max of its known lower bounds
-  /// (head phit arrival, drain completion, the input port's crossbar
-  /// release, and the output-side park time from a fruitless scan; +inf
-  /// while the head has no legal candidate at all). Every bound has an
-  /// exactly-known expiry or is refreshed at its mutation site, so the
-  /// request loop's whole eligibility chain is one compare against a
-  /// compact array — and skipped heads are exactly the heads that could
-  /// not have posted a request (they draw no RNG, so skipping preserves
-  /// bit-identical behaviour).
+  /// Head gate per input (port,vc): a lower bound on the cycle the current
+  /// head could next post a request. Open heads sit at their input-side
+  /// bound (input_bound). A fruitless scan parks the head: the gate rises
+  /// to the earliest crossbar release among its feasible candidates (+inf
+  /// if none is feasible), and the head joins the waiter set of every
+  /// infeasible candidate, whose 0→1 feasibility edge lowers the gate
+  /// again (wake_waiters). Every bound either has an exactly-known expiry
+  /// or is refreshed at its mutation site, so the request loop's whole
+  /// eligibility chain is one compare against a compact array — and
+  /// skipped heads are exactly the heads that could not have posted a
+  /// request (they draw no RNG, so skipping preserves bit-identical
+  /// behaviour). A stale or early wake costs one fruitless scan; a missed
+  /// one would be a bug, which the auditor's parking check rules out.
   std::vector<Cycle> in_gate_;
+
+  /// Waiter sets of the output VCs, one bitset over encoded input VCs
+  /// (waiter_words_ words) per slot. Slots are taken on demand by
+  /// add_waiter, named by OutputVc::waiter_slot and recycled through
+  /// waiter_free_, so memory follows the output VCs that have waiters,
+  /// not all output VCs.
+  std::vector<std::uint64_t> waiter_bits_;
+  std::vector<std::int32_t> waiter_free_;
+  int waiter_words_ = 0;
+
+  AllocCounters counters_;
 
   /// Sorted ports with waiting > 0 (so the link phase visits only ports
   /// that can possibly transmit, in the same ascending order as a full

@@ -72,11 +72,11 @@ TEST(Audit, DoesNotPerturbSimulation) {
 /// structures with real traffic behind them. Owns the Experiment the
 /// Network references.
 struct LoadedNet {
-  explicit LoadedNet(Cycle audit_interval, Cycle warm = 500)
+  explicit LoadedNet(Cycle audit_interval, Cycle warm = 500, double load = 0.6)
       : e(audit_spec(audit_interval)),
         net(e.context(), e.mechanism(), e.traffic(),
             audit_spec(audit_interval).sim, 2, 11) {
-    net.set_offered_load(0.6);
+    net.set_offered_load(load);
     net.run_cycles(warm);
   }
   Experiment e;
@@ -123,6 +123,17 @@ TEST(AuditDeath, CatchesCorruptedHeadCache) {
   // the actual queue front must disagree.
   l.net.router(0).corrupt_out_head_for_test(0, 0) = 123456789;
   EXPECT_DEATH(l.net.run_audit(), "audit");
+}
+
+TEST(AuditDeath, CatchesParkedHeadMissingFromWaiterSet) {
+  LoadedNet l(0, 500, 1.0); // saturated: heads wait on credits
+  // Drop one head's registration on an infeasible candidate: nothing
+  // would wake it when that VC turns feasible.
+  bool corrupted = false;
+  for (SwitchId s = 0; s < 16 && !corrupted; ++s)
+    corrupted = l.net.router(s).corrupt_waiters_for_test(l.net.now());
+  ASSERT_TRUE(corrupted) << "no head parked on a waiter set";
+  EXPECT_DEATH(l.net.run_audit(), "audit: parked head missing");
 }
 
 TEST(AuditDeath, CorruptionCaughtByPeriodicAuditDuringRun) {

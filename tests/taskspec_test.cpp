@@ -208,10 +208,13 @@ TEST(TaskSpecCodec, RoundTrippedTaskRunsBitIdentically) {
 // a signal or ran to a silently wrong row must abort naming the field.
 // ---------------------------------------------------------------------------
 
-/// The JSON of an emitted rate task with the serialized text \p from
-/// (which must occur exactly once) replaced by \p to.
-std::string edited_task_json(const std::string& from, const std::string& to) {
-  std::string text = TaskSpec::rate(small_spec(), 0.5).to_json();
+/// The JSON of an emitted task (by default a rate task) with the
+/// serialized text \p from (which must occur exactly once) replaced by
+/// \p to.
+std::string edited_task_json(
+    const std::string& from, const std::string& to,
+    const TaskSpec& task = TaskSpec::rate(small_spec(), 0.5)) {
+  std::string text = task.to_json();
   const std::size_t at = text.find(from);
   if (at == std::string::npos || text.find(from, at + 1) != std::string::npos) {
     ADD_FAILURE() << "'" << from << "' does not occur exactly once in " << text;
@@ -236,6 +239,15 @@ TEST(SpecBoundaryDeathTest, OutOfRangeFaultLinkNamesField) {
       edited_task_json("\"fault_links\":[]", "\"fault_links\":[999999]");
   EXPECT_DEATH(run_task(TaskSpec::from_json_text(text)),
                "fault_links: link id 999999 out of range");
+}
+
+TEST(SpecBoundaryDeathTest, OutOfRangeDynamicFaultLinkNamesField) {
+  const std::string text = edited_task_json(
+      "\"link\":3", "\"link\":999999",
+      TaskSpec::dynamic_faults(small_spec(), 0.5, {{300, 3}}));
+  EXPECT_DEATH(run_task(TaskSpec::from_json_text(text)),
+               "events\\[\\]\\.link: link id 999999 out of range, the "
+               "topology has 48 links");
 }
 
 // ---------------------------------------------------------------------------

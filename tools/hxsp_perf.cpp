@@ -57,6 +57,13 @@
 ///
 ///   --note=TEXT  free-text annotation stored in the written entry (e.g.
 ///             the host's core count, which bounds any parallel speedup).
+///
+/// Every config also records its allocator activity counters
+/// (Network::alloc_counters: head scans, fruitless scans, requests,
+/// grants, candidate evaluations, wakes) as alloc_counters. They are
+/// exact functions of the seed — the first timed window of a rate config,
+/// one whole drain of a drain config — so two entries compare exactly,
+/// with no noise band, at any --step-threads.
 
 #include <cstdio>
 #include <ctime>
@@ -96,6 +103,7 @@ struct PerfResult {
   /// meaningful quantity; the absolute sum covers reps x cycles).
   double phase_events = 0.0, phase_generation = 0.0, phase_alloc = 0.0,
          phase_link = 0.0;
+  AllocCounters alloc;  ///< first timed window (rate) or one drain
 };
 
 /// Monotonic wall clock, injected into the engine for --phase-times.
@@ -194,12 +202,14 @@ PerfResult measure_rate(const PerfConfig& pc, Cycle warmup, Cycle timed,
   PerfResult r;
   r.name = pc.name;
   r.cycles = timed;
+  const AllocCounters warm = net.alloc_counters();
   for (int rep = 0; rep < reps; ++rep) {
     const std::int64_t c0 = net.metrics().total_consumed_packets();
     const double t0 = cpu_now();
     net.run_cycles(timed);
     const double dt = cpu_now() - t0;
     const std::int64_t consumed = net.metrics().total_consumed_packets() - c0;
+    if (rep == 0) r.alloc = net.alloc_counters() - warm;
     if (rep == 0 || dt < r.wall_seconds) {
       r.wall_seconds = dt;
       r.consumed = consumed;
@@ -232,11 +242,24 @@ PerfResult measure_drain(const PerfConfig& pc, Cycle limit, int reps,
       r.cycles = net.now();
       r.consumed = net.metrics().total_consumed_packets();
     }
+    r.alloc = net.alloc_counters();
   }
   r.cycles_per_sec = static_cast<double>(r.cycles) / r.wall_seconds;
   r.packets_per_sec = static_cast<double>(r.consumed) / r.wall_seconds;
   if (phase_times) store_phases(r, phases);
   return r;
+}
+
+void print_alloc(const PerfResult& r) {
+  const AllocCounters& a = r.alloc;
+  std::printf("  alloc: scans %lld  fruitless %lld  requests %lld  grants %lld"
+              "  cand_evals %lld  wakes %lld\n",
+              static_cast<long long>(a.scans),
+              static_cast<long long>(a.fruitless),
+              static_cast<long long>(a.requests),
+              static_cast<long long>(a.grants),
+              static_cast<long long>(a.cand_evals),
+              static_cast<long long>(a.wakes));
 }
 
 void print_phases(const PerfResult& r) {
@@ -327,6 +350,14 @@ void write_bench_json(const std::string& path, const std::string& label,
       w.key("link").value(r.phase_link);
       w.end_object();
     }
+    w.key("alloc_counters").begin_object();
+    w.key("scans").value(r.alloc.scans);
+    w.key("fruitless").value(r.alloc.fruitless);
+    w.key("requests").value(r.alloc.requests);
+    w.key("grants").value(r.alloc.grants);
+    w.key("cand_evals").value(r.alloc.cand_evals);
+    w.key("wakes").value(r.alloc.wakes);
+    w.end_object();
     w.end_object();
   }
   w.end_array();
@@ -448,6 +479,7 @@ int main(int argc, char** argv) {
     std::printf("%-12s %10lld %12.4f %14.0f %14.0f\n", r.name.c_str(),
                 static_cast<long long>(r.cycles), r.wall_seconds,
                 r.cycles_per_sec, r.packets_per_sec);
+    print_alloc(r);
     if (r.has_phases) print_phases(r);
     std::fflush(stdout);
     results.push_back(r);

@@ -161,6 +161,26 @@ else
   echo "SKIP    telemetry export (fig06, hxsp_runner or python3 missing)"
 fi
 
+# Telemetry step-pool smoke: the telemetry frames are differences of the
+# engine's cumulative counters and the trace keys on packet ids, so both
+# artefacts of the manifest above must be byte-identical when every task
+# steps on a 2-worker pool.
+if [[ -s "$WORK_DIR/telem.csv" && -s "$WORK_DIR/telem_trace.jsonl" ]]; then
+  if "$BUILD_DIR/hxsp_runner" "$WORK_DIR/telem_manifest.json" --jobs=2 \
+       --step-threads=2 --telemetry-csv="$WORK_DIR/telem_sp.csv" \
+       --trace-jsonl="$WORK_DIR/telem_trace_sp.jsonl" --quiet \
+       > /dev/null 2>&1 &&
+     cmp -s "$WORK_DIR/telem_sp.csv" "$WORK_DIR/telem.csv" &&
+     cmp -s "$WORK_DIR/telem_trace_sp.jsonl" "$WORK_DIR/telem_trace.jsonl"; then
+    echo "OK      telemetry step pool (--step-threads=2, telemetry CSV and JSONL identical)"
+  else
+    echo "FAIL    telemetry step pool (--step-threads=2)"
+    FAILED=1
+  fi
+else
+  echo "SKIP    telemetry step pool (telemetry export artefacts missing)"
+fi
+
 # Trace replay end to end: generate a JSONL trace with make_trace.py,
 # emit a workload-task manifest referencing it, and replay it through
 # hxsp_runner — the whole "record somewhere, replay here" pipeline.

@@ -88,7 +88,13 @@ ExperimentSpec spec_from_json(const JsonValue& v) {
   s.sides.clear();
   for (const JsonValue& side : v.at("sides").array())
     s.sides.push_back(side.as_int());
+  HXSP_CHECK_MSG(!s.sides.empty() &&
+                     std::all_of(s.sides.begin(), s.sides.end(),
+                                 [](int k) { return k >= 2; }),
+                 "sides must be non-empty, every side >= 2");
   s.servers_per_switch = v.at("servers_per_switch").as_int();
+  HXSP_CHECK_MSG(s.servers_per_switch != 0,
+                 "servers_per_switch must be >= 1 (negative: sides[0])");
   s.mechanism = v.at("mechanism").as_string();
   s.pattern = v.at("pattern").as_string();
   const JsonValue& tp = v.at("traffic_params");
@@ -101,6 +107,20 @@ ExperimentSpec spec_from_json(const JsonValue& v) {
   s.sim.link_latency = sim.at("link_latency").as_int();
   s.sim.xbar_latency = sim.at("xbar_latency").as_int();
   s.sim.xbar_speedup = sim.at("xbar_speedup").as_int();
+  // Every event delay must land inside the 64-cycle event wheel, strictly
+  // after the cycle that schedules it: a tail leaves an output buffer
+  // packet_length cycles after its head, and a packet is consumed
+  // link_latency + packet_length - 1 cycles after its transmission.
+  HXSP_CHECK_MSG(s.sim.packet_length >= 1 && s.sim.packet_length <= 63,
+                 "sim.packet_length must be in [1, 63]");
+  HXSP_CHECK_MSG(s.sim.link_latency >= 0, "sim.link_latency must be >= 0");
+  HXSP_CHECK_MSG(s.sim.link_latency + s.sim.packet_length >= 2 &&
+                     s.sim.link_latency + s.sim.packet_length <= 64,
+                 "sim.link_latency + sim.packet_length must be in [2, 64]");
+  HXSP_CHECK_MSG(s.sim.input_buffer_packets >= 1,
+                 "sim.input_buffer_packets must be >= 1");
+  HXSP_CHECK_MSG(s.sim.output_buffer_packets >= 1,
+                 "sim.output_buffer_packets must be >= 1");
   // xbar_cycles() divides by the speedup.
   HXSP_CHECK_MSG(s.sim.xbar_speedup >= 1, "sim.xbar_speedup must be >= 1");
   s.sim.num_vcs = sim.at("num_vcs").as_int();
@@ -109,6 +129,8 @@ ExperimentSpec spec_from_json(const JsonValue& v) {
   HXSP_CHECK_MSG(s.sim.num_vcs >= 1 && s.sim.num_vcs <= 32,
                  "sim.num_vcs must be in [1, 32]");
   s.sim.server_queue_packets = sim.at("server_queue_packets").as_int();
+  HXSP_CHECK_MSG(s.sim.server_queue_packets >= 1,
+                 "sim.server_queue_packets must be >= 1");
   s.sim.watchdog_cycles = sim.at("watchdog_cycles").as_i64();
   // Tolerant read: manifests written before the auditor existed lack the
   // key; they mean "audit off", whatever the build default.
@@ -121,6 +143,13 @@ ExperimentSpec spec_from_json(const JsonValue& v) {
   s.sim.trace_sample = trace ? trace->as_int() : 0;
   const JsonValue* flight = sim.find("flight_recorder");
   s.sim.flight_recorder = flight ? flight->as_int() : 0;
+  HXSP_CHECK_MSG(s.sim.audit_interval >= 0,
+                 "sim.audit_interval must be >= 0");
+  HXSP_CHECK_MSG(s.sim.telemetry_window >= 0,
+                 "sim.telemetry_window must be >= 0");
+  HXSP_CHECK_MSG(s.sim.trace_sample >= 0, "sim.trace_sample must be >= 0");
+  HXSP_CHECK_MSG(s.sim.flight_recorder >= 0,
+                 "sim.flight_recorder must be >= 0");
   s.fault_links.clear();
   for (const JsonValue& l : v.at("fault_links").array())
     s.fault_links.push_back(static_cast<LinkId>(l.as_i64()));
@@ -134,7 +163,10 @@ ExperimentSpec spec_from_json(const JsonValue& v) {
   s.escape_penalties.red2 = pen.at("red2").as_int();
   s.escape_penalties.red3 = pen.at("red3").as_int();
   s.warmup = v.at("warmup").as_i64();
+  HXSP_CHECK_MSG(s.warmup >= 0, "warmup must be >= 0");
   s.measure = v.at("measure").as_i64();
+  // The measurement window must be non-empty to yield a row.
+  HXSP_CHECK_MSG(s.measure >= 1, "measure must be >= 1");
   s.seed = v.at("seed").as_u64();
   return s;
 }
@@ -192,7 +224,7 @@ void Experiment::set_step_threads(int threads) {
     step_pool_ = std::make_unique<ThreadPool>(threads);
 }
 
-std::pair<ResultRow, std::vector<LinkStats::Entry>>
+std::pair<ResultRow, std::vector<HotLink>>
 Experiment::run_load_hotspots(double offered, int top_n) {
   const int sps = hx_->servers_per_switch();
   Network net(ctx_, *mech_, *traffic_, spec_.sim, sps,
@@ -201,6 +233,10 @@ Experiment::run_load_hotspots(double offered, int top_n) {
   net.set_offered_load(offered);
   net.run_cycles(spec_.warmup);
   net.begin_window();
+  // Per-link phits are cumulative: the window's load is the difference
+  // against this snapshot, taken only when someone asks for hot links.
+  std::vector<std::int64_t> warm_link_phits;
+  if (top_n > 0) warm_link_phits = net.metrics().link_phits();
   net.run_cycles(spec_.measure);
   net.end_window();
   if (telemetry_capture_) net.export_telemetry(*telemetry_capture_);
@@ -210,8 +246,10 @@ Experiment::run_load_hotspots(double offered, int top_n) {
   row.pattern = spec_.pattern;
   row.offered = offered;
   row.from_metrics(net.metrics());
-  std::vector<LinkStats::Entry> hot;
-  if (top_n > 0) hot = net.link_stats().hottest(top_n, spec_.measure);
+  std::vector<HotLink> hot;
+  if (top_n > 0)
+    hot = net.metrics().hottest_links(hx_->graph(), warm_link_phits, top_n,
+                                      spec_.measure);
   return {row, hot};
 }
 

@@ -159,8 +159,8 @@ class Experiment {
 
   /// Like run_load, but also returns the \p top_n busiest directed links
   /// over the measurement window (the paper's root-congestion analysis).
-  std::pair<ResultRow, std::vector<LinkStats::Entry>> run_load_hotspots(
-      double offered, int top_n);
+  std::pair<ResultRow, std::vector<HotLink>> run_load_hotspots(double offered,
+                                                              int top_n);
 
   /// A completion-mode run: every server sends \p packets_per_server
   /// packets as fast as it can; at most \p max_cycles are simulated.

@@ -172,6 +172,7 @@ TaskSpec TaskSpec::from_json(const JsonValue& v) {
   t.label = v.at("label").as_string();
   t.extra = v.at("extra").as_string();
   t.offered = v.at("offered").as_double();
+  HXSP_CHECK_MSG(t.offered >= 0.0, "offered must be >= 0");
   t.packets_per_server = static_cast<long>(v.at("packets_per_server").as_i64());
   t.bucket_width = v.at("bucket_width").as_i64();
   t.max_cycles = v.at("max_cycles").as_i64();

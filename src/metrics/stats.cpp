@@ -1,5 +1,7 @@
 #include "metrics/stats.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace hxsp {
@@ -46,44 +48,103 @@ void LatencyHistogram::reset() {
   count_ = 0;
 }
 
-void SimMetrics::configure(ServerId num_servers, int packet_length) {
-  num_servers_ = num_servers;
+LatencyHistogram& LatencyHistogram::operator-=(
+    const LatencyHistogram& earlier) {
+  HXSP_CHECK(width_ == earlier.width_ &&
+             buckets_.size() == earlier.buckets_.size());
+  for (std::size_t b = 0; b < buckets_.size(); ++b)
+    buckets_[b] -= earlier.buckets_[b];
+  count_ -= earlier.count_;
+  return *this;
+}
+
+MetricTotals MetricTotals::operator-(const MetricTotals& earlier) const {
+  MetricTotals d;
+  d.generated = generated - earlier.generated;
+  d.injected = injected - earlier.injected;
+  d.consumed = consumed - earlier.consumed;
+  d.consumed_phits = consumed_phits - earlier.consumed_phits;
+  d.latency_sum = latency_sum - earlier.latency_sum;
+  for (int k = 0; k < 3; ++k) d.hops[k] = hops[k] - earlier.hops[k];
+  d.escape_entries = escape_entries - earlier.escape_entries;
+  d.credit_stalls = credit_stalls - earlier.credit_stalls;
+  d.link_phits = link_phits - earlier.link_phits;
+  return d;
+}
+
+void SimMetrics::configure(const Graph& g, int servers_per_switch,
+                           int packet_length, int num_vcs) {
+  HXSP_CHECK(servers_per_switch >= 1 && num_vcs >= 1);
+  const std::size_t n = static_cast<std::size_t>(g.num_switches());
+  num_servers_ = static_cast<ServerId>(n) * servers_per_switch;
+  servers_per_switch_ = servers_per_switch;
   packet_length_ = packet_length;
-  generated_phits_.assign(static_cast<std::size_t>(num_servers), 0);
+  generated_phits_.assign(static_cast<std::size_t>(num_servers_), 0);
+  switches_.assign(n, SwitchCounters{});
+  link_base_.assign(n + 1, 0);
+  for (SwitchId s = 0; s < g.num_switches(); ++s)
+    link_base_[static_cast<std::size_t>(s) + 1] =
+        link_base_[static_cast<std::size_t>(s)] +
+        static_cast<std::size_t>(g.degree(s));
+  link_phits_.assign(link_base_.back(), 0);
+  vc_grants_.assign(static_cast<std::size_t>(num_vcs), 0);
 }
 
 void SimMetrics::begin_window(Cycle now) {
   window_start_ = now;
   window_end_ = -1;
   std::fill(generated_phits_.begin(), generated_phits_.end(), 0);
-  window_consumed_phits_ = 0;
-  window_consumed_packets_ = 0;
-  latency_sum_ = 0;
-  latency_count_ = 0;
-  hops_routing_ = hops_escape_ = hops_forced_ = 0;
-  hist_.reset();
+  begin_totals_ = totals_;
+  begin_hist_ = hist_;
+  window_ = MetricTotals{};
+  window_hist_.reset();
 }
 
 void SimMetrics::end_window(Cycle now) {
   HXSP_CHECK(window_start_ >= 0 && now > window_start_);
   window_end_ = now;
+  window_ = totals_ - begin_totals_;
+  // In place (the assignment reuses the buckets): closing the window
+  // allocates nothing.
+  window_hist_ = hist_;
+  window_hist_ -= begin_hist_;
 }
 
-void SimMetrics::on_generated(ServerId src, Cycle /*now*/) {
-  ++total_generated_packets_;
+void SimMetrics::on_generated(ServerId src) {
+  ++totals_.generated;
   if (in_window())
     generated_phits_[static_cast<std::size_t>(src)] += packet_length_;
 }
 
-void SimMetrics::on_consumed(ServerId /*dst*/, Cycle created, Cycle now) {
-  ++total_consumed_packets_;
-  if (in_window()) {
-    window_consumed_phits_ += packet_length_;
-    ++window_consumed_packets_;
-    latency_sum_ += now - created;
-    ++latency_count_;
-    hist_.add(now - created);
+void SimMetrics::on_consumed(ServerId dst, Cycle created, Cycle now) {
+  ++totals_.consumed;
+  totals_.consumed_phits += packet_length_;
+  totals_.latency_sum += now - created;
+  hist_.add(now - created);
+  ++switches_[static_cast<std::size_t>(dst / servers_per_switch_)].ejections;
+}
+
+std::vector<HotLink> SimMetrics::hottest_links(
+    const Graph& g, const std::vector<std::int64_t>& since, int n,
+    Cycle cycles) const {
+  HXSP_CHECK(since.size() == link_phits_.size() && cycles > 0);
+  std::vector<HotLink> all;
+  for (SwitchId s = 0; s < g.num_switches(); ++s) {
+    for (Port p = 0; p < g.degree(s); ++p) {
+      const std::size_t i = link_index(s, p);
+      const std::int64_t v = link_phits_[i] - since[i];
+      if (v == 0) continue;
+      all.push_back({s, p, g.port(s, p).neighbor,
+                     static_cast<double>(v) / static_cast<double>(cycles)});
+    }
   }
+  const std::size_t keep =
+      std::min<std::size_t>(all.size(), static_cast<std::size_t>(n));
+  std::partial_sort(
+      all.begin(), all.begin() + static_cast<std::ptrdiff_t>(keep), all.end(),
+      [](const HotLink& a, const HotLink& b) { return a.load > b.load; });
+  all.resize(keep);
+  return all;
 }
 
 Cycle SimMetrics::window_cycles() const {
@@ -93,7 +154,7 @@ Cycle SimMetrics::window_cycles() const {
 double SimMetrics::accepted_load() const {
   const Cycle c = window_cycles();
   if (c <= 0 || num_servers_ == 0) return 0.0;
-  return static_cast<double>(window_consumed_phits_) /
+  return static_cast<double>(window_.consumed_phits) /
          (static_cast<double>(c) * static_cast<double>(num_servers_));
 }
 
@@ -107,22 +168,26 @@ double SimMetrics::generated_load() const {
 }
 
 double SimMetrics::avg_latency() const {
-  if (latency_count_ == 0) return 0.0;
-  return static_cast<double>(latency_sum_) / static_cast<double>(latency_count_);
+  if (window_.consumed == 0) return 0.0;
+  return static_cast<double>(window_.latency_sum) /
+         static_cast<double>(window_.consumed);
 }
 
 double SimMetrics::jain() const { return jain_index(generated_phits_); }
 
 double SimMetrics::escape_hop_fraction() const {
-  const std::int64_t total = hops_routing_ + hops_escape_ + hops_forced_;
+  const std::int64_t total = window_.hops_total();
   if (total == 0) return 0.0;
-  return static_cast<double>(hops_escape_ + hops_forced_) / static_cast<double>(total);
+  return static_cast<double>(window_.hops_of(HopKind::Escape) +
+                             window_.hops_of(HopKind::Forced)) /
+         static_cast<double>(total);
 }
 
 double SimMetrics::forced_hop_fraction() const {
-  const std::int64_t total = hops_routing_ + hops_escape_ + hops_forced_;
+  const std::int64_t total = window_.hops_total();
   if (total == 0) return 0.0;
-  return static_cast<double>(hops_forced_) / static_cast<double>(total);
+  return static_cast<double>(window_.hops_of(HopKind::Forced)) /
+         static_cast<double>(total);
 }
 
 } // namespace hxsp

@@ -38,9 +38,11 @@ struct SimConfig {
 
   /// Close a telemetry window every this many cycles: per-window
   /// throughput, latency percentiles, hop-kind counts and per-link
-  /// utilization collected by the per-Network TelemetryRegistry (see
-  /// telemetry/telemetry.hpp). 0 disables — no registry is allocated and
-  /// the step paths pay one null-pointer compare per hook. Like the
+  /// utilization, each the difference of the always-on SimMetrics
+  /// counters between two window boundaries, plus the input-VC occupancy
+  /// high-water mark (see telemetry/telemetry.hpp). 0 disables — no
+  /// registry is allocated and the step pays one compare for the roll
+  /// and one null-pointer compare at the occupancy hook. Like the
   /// auditor, telemetry observes and never mutates: enabling it cannot
   /// change any simulation result.
   Cycle telemetry_window = 0;

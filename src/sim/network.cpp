@@ -41,21 +41,21 @@ Network::Network(const NetworkContext& ctx, RoutingMechanism& mech,
         static_cast<Port>(local));
   }
 
-  metrics_.configure(total, cfg_.packet_length);
-  link_stats_ = LinkStats(*ctx_.graph);
+  metrics_.configure(*ctx_.graph, servers_per_switch_, cfg_.packet_length,
+                     cfg_.num_vcs);
 
   HXSP_CHECK(cfg_.audit_interval >= 0);
   next_audit_ = cfg_.audit_interval > 0 ? cfg_.audit_interval
                                         : std::numeric_limits<Cycle>::max();
 
-  // Observability (src/telemetry/): each instrument exists only when its
+  // Observability (src/telemetry/): each observer exists only when its
   // knob is on, so the hook sites in the step paths cost one null compare
   // in the default configuration.
   HXSP_CHECK(cfg_.telemetry_window >= 0 && cfg_.trace_sample >= 0 &&
              cfg_.flight_recorder >= 0);
   if (cfg_.telemetry_window > 0)
-    telemetry_ = std::make_unique<TelemetryRegistry>(
-        *ctx_.graph, cfg_.telemetry_window, cfg_.num_vcs);
+    telemetry_ = std::make_unique<TelemetryRegistry>(*ctx_.graph,
+                                                     cfg_.telemetry_window);
   next_telemetry_ = cfg_.telemetry_window > 0
                         ? cfg_.telemetry_window
                         : std::numeric_limits<Cycle>::max();
@@ -89,9 +89,6 @@ void Network::handle_consume(const Event& ev, PooledRing<Event>& next) {
   const ServerId dst = ev.a;
   metrics_.on_consumed(dst, ev.aux, now_);
   if (timeseries_) timeseries_->add(now_, cfg_.packet_length);
-  if (telemetry_)
-    telemetry_->on_eject(dst / servers_per_switch_, now_ - ev.aux,
-                         cfg_.packet_length);
   on_packet_destroyed();
   note_progress();
   // Workload mode: attribute the consumption to its message, which
@@ -302,8 +299,7 @@ void Network::commit_link_stages() {
           routers_[static_cast<std::size_t>(t.src)].first_server_port()) {
         const PortInfo& pi = ctx_.graph->port(t.src, t.port);
         HXSP_DCHECK(ctx_.graph->link_alive(pi.link));
-        link_stats_.on_transmit(t.src, t.port, len);
-        if (telemetry_) telemetry_->on_transmit(t.src, t.port, len);
+        metrics_.on_transmit(t.src, t.port, len);
         deliver(std::move(t.pkt), pi.neighbor, pi.remote_port, t.vc, head,
                 tail);
       } else {
@@ -328,7 +324,7 @@ void Network::step() {
   // Telemetry window rollover: the same one-compare gate as the auditor
   // (next_telemetry_ is max() when telemetry is off).
   if (now_ == next_telemetry_) {
-    telemetry_->roll(now_);
+    telemetry_->roll(now_, metrics_);
     next_telemetry_ += cfg_.telemetry_window;
   }
   // Phase profiling (attach_phase_times): one predictable branch per
@@ -457,8 +453,9 @@ void Network::export_telemetry(TelemetryCapture& out) {
   out.packet_length = cfg_.packet_length;
   out.num_servers = num_servers();
   if (telemetry_) {
-    telemetry_->flush(now_); // close the partial tail window (idempotent)
-    telemetry_->export_to(out);
+    // Close the partial tail window (idempotent).
+    telemetry_->flush(now_, metrics_);
+    telemetry_->export_to(out, metrics_);
   }
   if (tracer_) {
     out.trace_sample = tracer_->sample();

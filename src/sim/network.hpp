@@ -22,7 +22,6 @@
 #include <memory>
 #include <vector>
 
-#include "metrics/linkstats.hpp"
 #include "metrics/stats.hpp"
 #include "metrics/timeseries.hpp"
 #include "routing/mechanism.hpp"
@@ -169,27 +168,15 @@ class Network {
   bool run_until_drained(Cycle max_cycles);
 
   /// Opens the metrics measurement window at the current cycle.
-  void begin_window() {
-    metrics_.begin_window(now_);
-    link_stats_.reset();
-  }
+  void begin_window() { metrics_.begin_window(now_); }
 
   /// Closes the metrics measurement window at the current cycle.
   void end_window() { metrics_.end_window(now_); }
-
-  /// Per-link utilization over the current/last measurement window.
-  const LinkStats& link_stats() const { return link_stats_; }
-  LinkStats& link_stats() { return link_stats_; }
 
   /// Optional sink for a consumed-phits time series (Fig 10). May be null.
   void attach_timeseries(TimeSeries* ts) { timeseries_ = ts; }
 
   // --- telemetry (src/telemetry/, all knobs off by default) ---------------
-
-  /// The windowed instrument registry, or null when
-  /// SimConfig::telemetry_window == 0. Hook sites in the serial step
-  /// phases gate on this pointer — one compare when telemetry is off.
-  TelemetryRegistry* telemetry() { return telemetry_.get(); }
 
   /// The sampled packet tracer, or null when SimConfig::trace_sample == 0.
   PacketTracer* tracer() { return tracer_.get(); }
@@ -296,7 +283,7 @@ class Network {
   ///  2. Link phase — the same contiguous partition of link_active_; each
   ///     stage collects popped transmissions into its LinkStage (router-
   ///     local mutations only), and a commit applies deliveries, wheel
-  ///     events and link stats in concatenation order, which equals
+  ///     events and link counters in concatenation order, which equals
   ///     (source router id, ordinal) order because partitions are
   ///     contiguous and ascending. The link phase draws no RNG, so the
   ///     replay is exact, not just equivalent.
@@ -365,7 +352,7 @@ class Network {
   void run_partitioned(std::size_t n, const Fn& fn);
 
   /// Commit of the link phase: replays every staged transmission (wheel
-  /// events, link stats, delivery/consumption, watchdog progress) in
+  /// events, link counters, delivery/consumption, watchdog progress) in
   /// ascending source router order, then retires routers whose output
   /// work drained.
   void commit_link_stages();
@@ -406,11 +393,13 @@ class Network {
   ChunkPool<Event> event_chunks_;
   std::vector<PooledRing<Event>> wheel_;
 
+  /// The one counter store: every engine event calls one of its hooks.
   SimMetrics metrics_;
-  LinkStats link_stats_;
-  /// Telemetry instruments (telemetry/): allocated in the constructor only
-  /// when the matching SimConfig knob is non-zero, so every hook site in
+  /// Observers (telemetry/): allocated in the constructor only when the
+  /// matching SimConfig knob is non-zero, so each of their hook sites in
   /// the step paths costs a single null compare when observability is off.
+  /// The telemetry registry reads metrics_ at each roll; its only hook is
+  /// the occupancy high-water mark.
   std::unique_ptr<TelemetryRegistry> telemetry_;
   std::unique_ptr<PacketTracer> tracer_;
   std::unique_ptr<FlightRecorder> flight_;

@@ -280,26 +280,23 @@ void Router::alloc_phase(Network& net, Cycle now) {
       if (ov.q.empty())
         out_head_[vc_index(out_port, req.out_vc)] = pkt->buf_head;
 
-      // Telemetry: before commit_hop mutates pkt->in_escape, so an escape
-      // grant of a packet not yet on the escape counts as a SurePath
-      // activation. Server-port grants carry no hop semantics (the
-      // switch-port branch below mirrors the metrics hook).
-      if (TelemetryRegistry* const t = net.telemetry()) {
-        if (out_port < num_switch_ports_)
-          t->on_grant(id_, req.out_vc, req.escape, req.forced,
-                      req.escape && !pkt->in_escape);
-      }
       if (PacketTracer* const tr = net.tracer())
         tr->record(TraceEvent::kGrant, now, pkt->id, id_, out_port,
                    req.out_vc);
 
+      // Server-port grants carry no hop semantics.
       if (out_port < num_switch_ports_) {
+        // Counted before commit_hop mutates pkt->in_escape, so an escape
+        // grant of a packet not yet on the escape counts as a SurePath
+        // activation.
+        net.metrics().on_grant(id_, req.out_vc,
+                               req.forced   ? HopKind::Forced
+                               : req.escape ? HopKind::Escape
+                                            : HopKind::Routing,
+                               req.escape && !pkt->in_escape);
         const Candidate cand{out_port, req.out_vc, 0, req.escape,
                              req.escape_down};
         net.mechanism().commit_hop(net.ctx(), *pkt, id_, cand);
-        net.metrics().on_hop(req.forced ? HopKind::Forced
-                             : req.escape ? HopKind::Escape
-                                          : HopKind::Routing);
       }
       ov.q.push_back(std::move(pkt));
       net.note_progress();

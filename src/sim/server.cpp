@@ -44,7 +44,7 @@ void Server::make_packet(Network& net, Cycle now) {
   pkt->length = net.cfg().packet_length;
   pkt->created = now;
   net.mechanism().on_inject(net.ctx(), *pkt, net.rng());
-  net.metrics().on_generated(id_, now);
+  net.metrics().on_generated(id_);
   net.on_packet_created();
   queue_.push_back(std::move(pkt));
 }
@@ -82,7 +82,7 @@ void Server::workload_refill(Network& net, Cycle now) {
     pkt->created = now;
     pkt->msg = wl_msg_;
     net.mechanism().on_inject(net.ctx(), *pkt, net.rng());
-    net.metrics().on_generated(id_, now);
+    net.metrics().on_generated(id_);
     net.on_packet_created();
     queue_.push_back(std::move(pkt));
     --wl_left_;
@@ -111,8 +111,7 @@ void Server::injection_phase(Network& net, Cycle now) {
   if (best == kInvalid) {
     // A packet is ready and the link is free, but no legal VC holds a
     // whole packet's worth of credits: a credit stall.
-    if (TelemetryRegistry* const t = net.telemetry())
-      t->on_credit_stall(switch_);
+    net.metrics().on_credit_stall(switch_);
     return;
   }
 
@@ -125,7 +124,7 @@ void Server::injection_phase(Network& net, Cycle now) {
   HXSP_DCHECK(inject_port_ != kInvalid);
   const Cycle head = now + net.cfg().link_latency;
   const Cycle tail = head + len - 1;
-  if (TelemetryRegistry* const t = net.telemetry()) t->on_inject(switch_);
+  net.metrics().on_inject(switch_);
   if (PacketTracer* const tr = net.tracer())
     tr->record(TraceEvent::kInject, now, pkt->id, switch_, inject_port_, best);
   net.deliver(std::move(pkt), switch_, inject_port_, best, head, tail);

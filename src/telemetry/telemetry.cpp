@@ -29,16 +29,15 @@ bool operator==(const LinkWindowSeries& a, const LinkWindowSeries& b) {
          a.phits == b.phits && a.total == b.total;
 }
 
-TelemetryRegistry::TelemetryRegistry(const Graph& g, Cycle window,
-                                     int num_vcs)
-    : graph_(&g), window_(window), link_window_(g) {
-  HXSP_CHECK(window > 0 && num_vcs > 0);
-  router_.resize(static_cast<std::size_t>(g.num_switches()));
-  vc_grants_.resize(static_cast<std::size_t>(num_vcs), 0);
+TelemetryRegistry::TelemetryRegistry(const Graph& g, Cycle window)
+    : window_(window),
+      router_occupancy_hwm_(static_cast<std::size_t>(g.num_switches()), 0) {
+  HXSP_CHECK(window > 0);
   std::size_t directed_links = 0;
   for (SwitchId s = 0; s < g.num_switches(); ++s) {
     directed_links += static_cast<std::size_t>(g.degree(s));
   }
+  prev_link_phits_.assign(directed_links, 0);
   if (directed_links <= kMaxLinkSeriesLinks) {
     links_.reserve(directed_links);
     for (SwitchId s = 0; s < g.num_switches(); ++s) {
@@ -53,61 +52,70 @@ TelemetryRegistry::TelemetryRegistry(const Graph& g, Cycle window,
   }
 }
 
-void TelemetryRegistry::roll(Cycle now) {
-  HXSP_CHECK(now > cur_.start);
-  cur_.end = now;
-  if (hist_.count() > 0) {
-    cur_.p50_latency = hist_.percentile(0.50);
-    cur_.p99_latency = hist_.percentile(0.99);
+void TelemetryRegistry::roll(Cycle now, const SimMetrics& m) {
+  HXSP_CHECK(now > start_);
+  TelemetryFrame f;
+  f.window = static_cast<std::int64_t>(frames_.size());
+  f.start = start_;
+  f.end = now;
+  const MetricTotals d = m.totals() - prev_;
+  f.injected = d.injected;
+  f.consumed = d.consumed;
+  f.consumed_phits = d.consumed_phits;
+  LatencyHistogram hist = m.total_latency_histogram();
+  hist -= prev_hist_;
+  if (hist.count() > 0) {
+    f.p50_latency = hist.percentile(0.50);
+    f.p99_latency = hist.percentile(0.99);
   }
-  std::int64_t link_max = 0;
-  for (LinkWindowSeries& series : links_) {
-    const std::int64_t phits = link_window_.phits(series.sw, series.port);
-    series.phits.push_back(phits);
-    series.total += phits;
-    link_max = std::max(link_max, phits);
-  }
-  if (links_.empty()) {
-    // Above the series cap: still report the busiest link per window.
-    for (SwitchId s = 0; s < graph_->num_switches(); ++s) {
-      for (Port p = 0; p < graph_->degree(s); ++p) {
-        link_max = std::max(link_max, link_window_.phits(s, p));
-      }
+  f.hops_routing = d.hops_of(HopKind::Routing);
+  f.hops_escape = d.hops_of(HopKind::Escape);
+  f.hops_forced = d.hops_of(HopKind::Forced);
+  f.escape_entries = d.escape_entries;
+  f.credit_stalls = d.credit_stalls;
+  f.link_phits = d.link_phits;
+  // Links are numbered in (switch, port) order both here and in the
+  // series, so entry i of each is the same directed link.
+  const std::vector<std::int64_t>& link_phits = m.link_phits();
+  for (std::size_t i = 0; i < link_phits.size(); ++i) {
+    const std::int64_t phits = link_phits[i] - prev_link_phits_[i];
+    f.link_max_phits = std::max(f.link_max_phits, phits);
+    if (!links_.empty()) {
+      links_[i].phits.push_back(phits);
+      links_[i].total += phits;
     }
   }
-  cur_.link_max_phits = link_max;
-  frames_.push_back(cur_);
+  f.occupancy_hwm = occupancy_hwm_;
+  frames_.push_back(f);
 
-  const std::int64_t next_window = cur_.window + 1;
-  cur_ = TelemetryFrame{};
-  cur_.window = next_window;
-  cur_.start = now;
-  hist_.reset();
-  link_window_.reset();
+  start_ = now;
+  occupancy_hwm_ = 0;
+  prev_ = m.totals();
+  prev_hist_ = m.total_latency_histogram();
+  prev_link_phits_ = link_phits;
 }
 
-void TelemetryRegistry::flush(Cycle now) {
-  if (now > cur_.start) roll(now);
+void TelemetryRegistry::flush(Cycle now, const SimMetrics& m) {
+  if (now > start_) roll(now, m);
 }
 
-void TelemetryRegistry::export_to(TelemetryCapture& out) const {
+void TelemetryRegistry::export_to(TelemetryCapture& out,
+                                  const SimMetrics& m) const {
   out.window = window_;
   out.frames = frames_;
   out.links = links_;
-  out.vc_grants = vc_grants_;
+  out.vc_grants = m.vc_grants();
   out.router_injections.clear();
   out.router_ejections.clear();
   out.router_escape_entries.clear();
   out.router_credit_stalls.clear();
-  out.router_occupancy_hwm.clear();
-  out.router_injections.reserve(router_.size());
-  for (const RouterCounters& rc : router_) {
-    out.router_injections.push_back(rc.injections);
-    out.router_ejections.push_back(rc.ejections);
-    out.router_escape_entries.push_back(rc.escape_entries);
-    out.router_credit_stalls.push_back(rc.credit_stalls);
-    out.router_occupancy_hwm.push_back(rc.occupancy_hwm);
+  for (const SwitchCounters& sc : m.switch_counters()) {
+    out.router_injections.push_back(sc.injections);
+    out.router_ejections.push_back(sc.ejections);
+    out.router_escape_entries.push_back(sc.escape_entries);
+    out.router_credit_stalls.push_back(sc.credit_stalls);
   }
+  out.router_occupancy_hwm = router_occupancy_hwm_;
 }
 
 } // namespace hxsp

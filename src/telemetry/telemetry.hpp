@@ -1,27 +1,29 @@
 #pragma once
 /// \file telemetry.hpp
-/// Cycle-windowed counter/gauge registry owned per-Network.
+/// Cycle-windowed view of the engine's counters, owned per-Network.
 ///
 /// The engine's ResultSink rows are end-of-run aggregates; this registry
 /// answers the *where and when* questions behind them — which routers
 /// saturated, which links carried the escape traffic, how the latency
-/// percentiles moved as faults landed. It keeps cheap per-router,
-/// per-link and per-VC instruments (injections, ejections, hop kinds,
-/// escape-path entries a.k.a. SurePath activations, credit stalls,
-/// buffer-occupancy high-water marks) and closes a TelemetryFrame every
-/// `SimConfig::telemetry_window` cycles with the window's throughput,
-/// latency percentiles and link utilization.
+/// percentiles moved as faults landed. It counts nothing itself: every
+/// counter (injections, ejections, hop kinds, escape-path entries a.k.a.
+/// SurePath activations, credit stalls, per-link phits, per-VC grants)
+/// lives in the Network's SimMetrics, always on and cumulative from cycle
+/// 0. Every `SimConfig::telemetry_window` cycles the registry closes a
+/// TelemetryFrame as the difference between the current totals and the
+/// snapshot it took at the previous roll. The one instrument of its own is
+/// the input-VC occupancy high-water mark, because a maximum cannot be
+/// windowed by difference.
 ///
-/// Determinism contract: every instrument is fed from serial step phases
-/// only (injection loop, alloc commit, link commit, consume events), the
-/// registry never influences any simulation decision, and a Network built
-/// with `telemetry_window == 0` allocates nothing — the fast path pays a
-/// single null-pointer compare per hook site.
+/// Determinism contract: the registry only reads counters fed from serial
+/// step phases, it never influences any simulation decision, and a
+/// Network built with `telemetry_window == 0` allocates none — the step
+/// pays one compare for the roll and one null-pointer compare at the
+/// occupancy hook.
 
 #include <cstdint>
 #include <vector>
 
-#include "metrics/linkstats.hpp"
 #include "metrics/stats.hpp"
 #include "topology/graph.hpp"
 #include "util/types.hpp"
@@ -65,20 +67,11 @@ struct LinkWindowSeries {
 
 bool operator==(const LinkWindowSeries& a, const LinkWindowSeries& b);
 
-/// Cumulative per-router instruments (whole run, not windowed).
-struct RouterCounters {
-  std::int64_t injections = 0;
-  std::int64_t ejections = 0;
-  std::int64_t escape_entries = 0;
-  std::int64_t credit_stalls = 0;
-  std::int64_t occupancy_hwm = 0;
-};
-
 struct TelemetryCapture;
 
-/// The per-Network instrument registry. Constructed only when
-/// `SimConfig::telemetry_window > 0`; all on_* hooks are called behind
-/// the owner's `if (telemetry_)` gate and from serial phases only.
+/// The per-Network telemetry window registry. Constructed only when
+/// `SimConfig::telemetry_window > 0`; on_occupancy is called behind the
+/// owner's `if (telemetry_)` gate and from serial phases only.
 class TelemetryRegistry {
  public:
   /// Above this many directed switch links the per-link window series is
@@ -86,90 +79,41 @@ class TelemetryRegistry {
   /// thousands of heatmap rows per task otherwise.
   static constexpr std::size_t kMaxLinkSeriesLinks = 1024;
 
-  TelemetryRegistry(const Graph& g, Cycle window, int num_vcs);
-
-  // --- hot-path instruments (serial phases only) ---
-
-  /// A packet's first phit left a server attached to \p sw.
-  void on_inject(SwitchId sw) {
-    ++cur_.injected;
-    ++router_[static_cast<std::size_t>(sw)].injections;
-  }
-
-  /// A packet was consumed at a server of \p sw after \p latency cycles.
-  void on_eject(SwitchId sw, Cycle latency, int phits) {
-    ++cur_.consumed;
-    cur_.consumed_phits += phits;
-    hist_.add(latency);
-    ++router_[static_cast<std::size_t>(sw)].ejections;
-  }
-
-  /// The allocator at \p sw granted a switch-port output.
-  /// \p entered_escape marks a SurePath activation: the grant moved a
-  /// packet that was *not* yet on an escape VC onto one.
-  void on_grant(SwitchId sw, Vc out_vc, bool escape, bool forced,
-                bool entered_escape) {
-    ++vc_grants_[static_cast<std::size_t>(out_vc)];
-    if (forced) {
-      ++cur_.hops_forced;
-    } else if (escape) {
-      ++cur_.hops_escape;
-    } else {
-      ++cur_.hops_routing;
-    }
-    if (entered_escape) {
-      ++cur_.escape_entries;
-      ++router_[static_cast<std::size_t>(sw)].escape_entries;
-    }
-  }
-
-  /// A server at \p sw had a packet and a free link but no VC with a
-  /// packet's worth of credits.
-  void on_credit_stall(SwitchId sw) {
-    ++cur_.credit_stalls;
-    ++router_[static_cast<std::size_t>(sw)].credit_stalls;
-  }
+  TelemetryRegistry(const Graph& g, Cycle window);
 
   /// Input-VC occupancy at \p sw after an arrival; keeps the high-water
   /// marks (window-level and per-router cumulative).
   void on_occupancy(SwitchId sw, std::int64_t occupancy) {
-    RouterCounters& rc = router_[static_cast<std::size_t>(sw)];
-    if (occupancy > rc.occupancy_hwm) rc.occupancy_hwm = occupancy;
-    if (occupancy > cur_.occupancy_hwm) cur_.occupancy_hwm = occupancy;
+    std::int64_t& hwm = router_occupancy_hwm_[static_cast<std::size_t>(sw)];
+    if (occupancy > hwm) hwm = occupancy;
+    if (occupancy > occupancy_hwm_) occupancy_hwm_ = occupancy;
   }
-
-  /// \p phits left (sw, port) towards the neighbouring switch.
-  void on_transmit(SwitchId sw, Port port, int phits) {
-    cur_.link_phits += phits;
-    link_window_.on_transmit(sw, port, phits);
-  }
-
-  // --- window management ---
 
   /// Closes the current window at cycle \p now (called by Network::step
-  /// when the window boundary is reached).
-  void roll(Cycle now);
+  /// when the window boundary is reached) as the difference between
+  /// \p m's counters and the snapshot taken at the previous roll.
+  void roll(Cycle now, const SimMetrics& m);
 
   /// Closes a partial tail window if any cycles elapsed since the last
   /// roll; safe to call repeatedly (idempotent at a given \p now).
-  void flush(Cycle now);
+  void flush(Cycle now, const SimMetrics& m);
 
-  Cycle window() const { return window_; }
-
-  /// Copies frames, link series and per-router/per-VC counters into
+  /// Copies frames, link series and per-router occupancy high-water marks,
+  /// plus \p m's cumulative per-router counters and per-VC grants, into
   /// \p out (does not touch its trace fields).
-  void export_to(TelemetryCapture& out) const;
+  void export_to(TelemetryCapture& out, const SimMetrics& m) const;
 
  private:
-  const Graph* graph_;
   Cycle window_;
-  TelemetryFrame cur_;
-  LatencyHistogram hist_;          ///< latencies of the current window
-  LinkStats link_window_;          ///< per-link phits, current window
+  Cycle start_ = 0;                ///< first cycle of the open window
+  std::int64_t occupancy_hwm_ = 0; ///< high-water mark, open window
+  std::vector<std::int64_t> router_occupancy_hwm_; ///< cumulative
+  // The counters at the previous roll.
+  MetricTotals prev_;
+  LatencyHistogram prev_hist_;
+  std::vector<std::int64_t> prev_link_phits_;
   std::vector<TelemetryFrame> frames_;
   std::vector<LinkWindowSeries> links_; ///< empty above the series cap
-  std::vector<RouterCounters> router_;
-  std::vector<std::int64_t> vc_grants_;
 };
 
 } // namespace hxsp

@@ -59,17 +59,41 @@ TEST(Histogram, ResetClears) {
   EXPECT_EQ(h.percentile(0.5), -1);
 }
 
+TEST(Histogram, DifferenceIsBucketWise) {
+  LatencyHistogram h;
+  h.add(5);
+  h.add(500);
+  const LatencyHistogram snapshot = h;
+  h.add(20);
+  h.add(20);
+  h.add(100000); // overflow bucket
+  LatencyHistogram d = h;
+  d -= snapshot;
+  EXPECT_EQ(d.count(), 3);
+  EXPECT_EQ(d.percentile(0.5), 24);        // both 20s: bucket [16, 24)
+  EXPECT_EQ(d.percentile(0.99), 8 * 1025); // the overflow sample
+  d = snapshot;
+  d -= snapshot;
+  EXPECT_EQ(d.count(), 0);
+  EXPECT_EQ(d.percentile(0.5), -1);
+}
+
 TEST(SimMetrics, WindowAccounting) {
+  const Graph g(1);
   SimMetrics m;
-  m.configure(2, 16);
-  m.on_generated(0, 10);  // before window: not counted in jain/generated
+  m.configure(g, /*servers_per_switch=*/2, /*packet_length=*/16,
+              /*num_vcs=*/1);
+  m.on_generated(0);       // before window: not counted in jain/generated
+  m.on_consumed(1, 0, 60); // before window: not in the row
   m.begin_window(100);
-  m.on_generated(0, 150);
-  m.on_generated(0, 160);
-  m.on_generated(1, 170);
+  m.on_generated(0);
+  m.on_generated(0);
+  m.on_generated(1);
   m.on_consumed(1, 100, 180);
   m.on_consumed(0, 120, 200);
   m.end_window(200);
+  m.on_generated(1);         // after window: not in the row either
+  m.on_consumed(0, 10, 250);
   EXPECT_EQ(m.window_cycles(), 100);
   // 2 packets * 16 phits over 100 cycles and 2 servers = 0.16.
   EXPECT_NEAR(m.accepted_load(), 0.16, 1e-12);
@@ -77,28 +101,49 @@ TEST(SimMetrics, WindowAccounting) {
   EXPECT_NEAR(m.generated_load(), 0.24, 1e-12);
   // Latencies 80 and 80 -> average 80.
   EXPECT_NEAR(m.avg_latency(), 80.0, 1e-12);
+  EXPECT_EQ(m.latency_histogram().count(), 2);
+  EXPECT_EQ(m.latency_histogram().percentile(0.99), 88);
   // Generated per server: (32, 16) -> jain = 48^2/(2*(1024+256)).
   EXPECT_NEAR(m.jain(), 2304.0 / 2560.0, 1e-12);
   EXPECT_EQ(m.consumed_packets(), 2);
-  EXPECT_EQ(m.total_generated_packets(), 4);
+  // The cumulative counters see every event, in or out of the window.
+  EXPECT_EQ(m.total_generated_packets(), 5);
+  EXPECT_EQ(m.total_consumed_packets(), 4);
+  EXPECT_EQ(m.totals().consumed_phits, 64);
+  EXPECT_EQ(m.total_latency_histogram().count(), 4);
+  EXPECT_EQ(m.switch_counters()[0].ejections, 4);
 }
 
 TEST(SimMetrics, HopKindFractions) {
+  const Graph g(2);
   SimMetrics m;
-  m.configure(1, 16);
+  m.configure(g, /*servers_per_switch=*/1, /*packet_length=*/16,
+              /*num_vcs=*/2);
+  m.on_grant(1, 1, HopKind::Forced, true); // before window: not in the row
   m.begin_window(0);
-  m.on_hop(HopKind::Routing);
-  m.on_hop(HopKind::Routing);
-  m.on_hop(HopKind::Escape);
-  m.on_hop(HopKind::Forced);
+  m.on_grant(0, 0, HopKind::Routing, false);
+  m.on_grant(0, 0, HopKind::Routing, false);
+  m.on_grant(1, 1, HopKind::Escape, true);
+  m.on_grant(1, 1, HopKind::Forced, false);
   m.end_window(10);
+  m.on_grant(0, 1, HopKind::Escape, true); // after window: not in the row
   EXPECT_NEAR(m.escape_hop_fraction(), 0.5, 1e-12);
   EXPECT_NEAR(m.forced_hop_fraction(), 0.25, 1e-12);
+  // Cumulative: every grant, with its VC and its SurePath activation.
+  EXPECT_EQ(m.totals().hops_of(HopKind::Routing), 2);
+  EXPECT_EQ(m.totals().hops_of(HopKind::Escape), 2);
+  EXPECT_EQ(m.totals().hops_of(HopKind::Forced), 2);
+  EXPECT_EQ(m.totals().escape_entries, 3);
+  EXPECT_EQ(m.vc_grants(), (std::vector<std::int64_t>{2, 4}));
+  EXPECT_EQ(m.switch_counters()[0].escape_entries, 1);
+  EXPECT_EQ(m.switch_counters()[1].escape_entries, 2);
 }
 
 TEST(SimMetrics, ZeroWindowSafe) {
+  const Graph g(1);
   SimMetrics m;
-  m.configure(4, 16);
+  m.configure(g, /*servers_per_switch=*/4, /*packet_length=*/16,
+              /*num_vcs=*/1);
   EXPECT_DOUBLE_EQ(m.accepted_load(), 0.0);
   EXPECT_DOUBLE_EQ(m.avg_latency(), 0.0);
   EXPECT_DOUBLE_EQ(m.jain(), 1.0);
@@ -125,10 +170,12 @@ TEST(TimeSeries, RateNormalisation) {
 }
 
 TEST(ResultRow, FromMetricsCopiesFields) {
+  const Graph g(1);
   SimMetrics m;
-  m.configure(1, 16);
+  m.configure(g, /*servers_per_switch=*/1, /*packet_length=*/16,
+              /*num_vcs=*/1);
   m.begin_window(0);
-  m.on_generated(0, 1);
+  m.on_generated(0);
   m.on_consumed(0, 0, 50);
   m.end_window(100);
   ResultRow row;

@@ -10,6 +10,8 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "harness/grid.hpp"
 #include "harness/sweep.hpp"
@@ -208,19 +210,24 @@ TEST(TaskSpecCodec, RoundTrippedTaskRunsBitIdentically) {
 // a signal or ran to a silently wrong row must abort naming the field.
 // ---------------------------------------------------------------------------
 
-/// The JSON of an emitted task (by default a rate task) with the
-/// serialized text \p from (which must occur exactly once) replaced by
-/// \p to.
-std::string edited_task_json(
-    const std::string& from, const std::string& to,
-    const TaskSpec& task = TaskSpec::rate(small_spec(), 0.5)) {
-  std::string text = task.to_json();
+/// \p text with \p from (which must occur exactly once) replaced by \p to.
+std::string edit_once(std::string text, const std::string& from,
+                      const std::string& to) {
   const std::size_t at = text.find(from);
   if (at == std::string::npos || text.find(from, at + 1) != std::string::npos) {
     ADD_FAILURE() << "'" << from << "' does not occur exactly once in " << text;
     return text;
   }
   return text.replace(at, from.size(), to);
+}
+
+/// The JSON of an emitted task (by default a rate task) with the
+/// serialized text \p from (which must occur exactly once) replaced by
+/// \p to.
+std::string edited_task_json(
+    const std::string& from, const std::string& to,
+    const TaskSpec& task = TaskSpec::rate(small_spec(), 0.5)) {
+  return edit_once(task.to_json(), from, to);
 }
 
 TEST(SpecBoundaryDeathTest, ZeroXbarSpeedupNamesField) {
@@ -248,6 +255,80 @@ TEST(SpecBoundaryDeathTest, OutOfRangeDynamicFaultLinkNamesField) {
   EXPECT_DEATH(run_task(TaskSpec::from_json_text(text)),
                "events\\[\\]\\.link: link id 999999 out of range, the "
                "topology has 48 links");
+}
+
+/// One row of the decode-time boundary table: text edits applied to an
+/// emitted rate task (one field each, two for a field pair) and the
+/// field-naming abort they must produce.
+struct SpecEdit {
+  std::vector<std::pair<std::string, std::string>> edits;
+  const char* message; ///< regex matched against the abort
+};
+
+std::string apply_edits(const SpecEdit& row) {
+  std::string text = TaskSpec::rate(small_spec(), 0.5).to_json();
+  for (const auto& [from, to] : row.edits) text = edit_once(text, from, to);
+  return text;
+}
+
+TEST(SpecBoundaryDeathTest, OneFieldEditsNameTheField) {
+  const char* const kWheel =
+      "sim\\.link_latency \\+ sim\\.packet_length must be in \\[2, 64\\]";
+  const std::vector<SpecEdit> table = {
+      // Internal checks far from the field once caught these.
+      {{{"\"packet_length\":16", "\"packet_length\":0"}},
+       "sim\\.packet_length must be in \\[1, 63\\]"},
+      {{{"\"sides\":[4,4]", "\"sides\":[1,8]"}}, "sides must be non-empty"},
+      {{{"\"input_buffer_packets\":8", "\"input_buffer_packets\":0"}},
+       "sim\\.input_buffer_packets must be >= 1"},
+      {{{"\"output_buffer_packets\":4", "\"output_buffer_packets\":0"}},
+       "sim\\.output_buffer_packets must be >= 1"},
+      {{{"\"server_queue_packets\":8", "\"server_queue_packets\":0"}},
+       "sim\\.server_queue_packets must be >= 1"},
+      {{{"\"telemetry_window\":0", "\"telemetry_window\":-5"}},
+       "sim\\.telemetry_window must be >= 0"},
+      {{{"\"trace_sample\":0", "\"trace_sample\":-1"}},
+       "sim\\.trace_sample must be >= 0"},
+      {{{"\"offered\":0.5", "\"offered\":-1"}}, "offered must be >= 0"},
+      {{{"\"measure\":400", "\"measure\":0"}}, "measure must be >= 1"},
+      // Event delays beyond the 64-cycle wheel once wrapped around it in
+      // Release builds and produced a silently wrong row.
+      {{{"\"link_latency\":1", "\"link_latency\":100"}}, kWheel},
+      {{{"\"link_latency\":1", "\"link_latency\":49"}}, kWheel},
+      {{{"\"link_latency\":1", "\"link_latency\":-1"}},
+       "sim\\.link_latency must be >= 0"},
+      {{{"\"packet_length\":16", "\"packet_length\":80"}},
+       "sim\\.packet_length must be in \\[1, 63\\]"},
+      {{{"\"link_latency\":1", "\"link_latency\":0"},
+        {"\"packet_length\":16", "\"packet_length\":64"}},
+       "sim\\.packet_length must be in \\[1, 63\\]"},
+      {{{"\"link_latency\":1", "\"link_latency\":0"},
+        {"\"packet_length\":16", "\"packet_length\":1"}},
+       kWheel},
+  };
+  for (const SpecEdit& row : table) {
+    const std::string text = apply_edits(row);
+    EXPECT_DEATH(run_task(TaskSpec::from_json_text(text)), row.message)
+        << row.edits.front().second;
+  }
+}
+
+TEST(SpecBoundary, WheelHorizonEdgesRun) {
+  // The largest and smallest delays the wheel holds: these must decode
+  // and run (Debug builds would trip the per-event horizon DCHECK).
+  const std::vector<SpecEdit> table = {
+      {{{"\"link_latency\":1", "\"link_latency\":48"}}, ""},
+      {{{"\"link_latency\":1", "\"link_latency\":0"},
+        {"\"packet_length\":16", "\"packet_length\":63"}},
+       ""},
+      {{{"\"packet_length\":16", "\"packet_length\":1"}}, ""},
+  };
+  for (const SpecEdit& row : table) {
+    const TaskResult r = run_task(TaskSpec::from_json_text(apply_edits(row)));
+    const ResultRow* row_out = task_result_row(r);
+    ASSERT_NE(row_out, nullptr);
+    EXPECT_GT(row_out->packets, 0) << row.edits.back().second;
+  }
 }
 
 // ---------------------------------------------------------------------------

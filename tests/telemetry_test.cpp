@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/experiment.hpp"
 #include "harness/runner.hpp"
 #include "harness/sweep.hpp"
 #include "telemetry/capture.hpp"
@@ -213,6 +214,45 @@ TEST(Telemetry, FramesAccountForRouterTotals) {
   }
   for (const TelemetryFrame& f : cap.frames) frame_total += f.link_phits;
   EXPECT_EQ(link_total, frame_total);
+
+  // Frames are differences of the engine's cumulative SimMetrics
+  // counters, so over a whole run they sum to exactly its totals.
+  const ExperimentSpec spec = rate_task(true).spec;
+  Experiment e(spec);
+  Network net(e.context(), e.mechanism(), e.traffic(), spec.sim,
+              spec.resolved_servers_per_switch(), /*seed=*/99);
+  net.set_offered_load(0.6);
+  net.run_cycles(spec.warmup + spec.measure + 37); // ends mid-window
+  TelemetryCapture direct;
+  net.export_telemetry(direct);
+  MetricTotals sum;
+  for (const TelemetryFrame& f : direct.frames) {
+    sum.injected += f.injected;
+    sum.consumed += f.consumed;
+    sum.consumed_phits += f.consumed_phits;
+    sum.hops[0] += f.hops_routing;
+    sum.hops[1] += f.hops_escape;
+    sum.hops[2] += f.hops_forced;
+    sum.escape_entries += f.escape_entries;
+    sum.credit_stalls += f.credit_stalls;
+    sum.link_phits += f.link_phits;
+  }
+  const MetricTotals& totals = net.metrics().totals();
+  EXPECT_EQ(direct.frames.back().end, net.now());
+  EXPECT_EQ(sum.injected, totals.injected);
+  EXPECT_EQ(sum.consumed, totals.consumed);
+  EXPECT_EQ(sum.consumed, net.metrics().total_consumed_packets());
+  EXPECT_EQ(sum.consumed_phits, totals.consumed_phits);
+  EXPECT_EQ(sum.hops_of(HopKind::Routing), totals.hops_of(HopKind::Routing));
+  EXPECT_EQ(sum.hops_of(HopKind::Escape), totals.hops_of(HopKind::Escape));
+  EXPECT_EQ(sum.hops_of(HopKind::Forced), totals.hops_of(HopKind::Forced));
+  EXPECT_EQ(sum.escape_entries, totals.escape_entries);
+  EXPECT_EQ(sum.credit_stalls, totals.credit_stalls);
+  EXPECT_EQ(sum.link_phits, totals.link_phits);
+  EXPECT_GT(totals.escape_entries, 0);
+  std::int64_t vc_grants = 0;
+  for (std::int64_t g : direct.vc_grants) vc_grants += g;
+  EXPECT_EQ(vc_grants, totals.hops_total());
 }
 
 TEST(Telemetry, SamplingKeysOnPacketIds) {

@@ -1,6 +1,7 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <string>
 
 #include "telemetry/capture.hpp"
@@ -153,7 +154,19 @@ ExperimentSpec spec_from_json(const JsonValue& v) {
   s.fault_links.clear();
   for (const JsonValue& l : v.at("fault_links").array())
     s.fault_links.push_back(static_cast<LinkId>(l.as_i64()));
-  s.escape_root = static_cast<SwitchId>(v.at("escape_root").as_i64());
+  const std::int64_t root = v.at("escape_root").as_i64();
+  // Saturated at the SwitchId range (HyperX rejects larger fabrics), so
+  // the product cannot overflow.
+  std::int64_t num_switches = 1;
+  for (int k : s.sides)
+    num_switches = std::min<std::int64_t>(num_switches * k,
+                                          std::numeric_limits<SwitchId>::max());
+  HXSP_CHECK_MSG(root >= 0 && root < num_switches,
+                 ("escape_root: switch id " + std::to_string(root) +
+                  " out of range, the topology has " +
+                  std::to_string(num_switches) + " switches")
+                     .c_str());
+  s.escape_root = static_cast<SwitchId>(root);
   s.escape_strict_phase = v.at("escape_strict_phase").as_bool();
   s.escape_shortcuts = v.at("escape_shortcuts").as_bool();
   const JsonValue& pen = v.at("escape_penalties");

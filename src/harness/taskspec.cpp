@@ -200,6 +200,10 @@ TaskSpec TaskSpec::from_json(const JsonValue& v) {
     }
   }
   t.spec = spec_from_json(v.at("spec"));
+  // A server generates at most one packet per cycle (Server's Bernoulli
+  // draw has probability offered / packet_length).
+  HXSP_CHECK_MSG(t.offered <= static_cast<double>(t.spec.sim.packet_length),
+                 "offered must be <= sim.packet_length (1 packet/cycle)");
   return t;
 }
 

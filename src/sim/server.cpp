@@ -30,6 +30,7 @@ void Server::set_workload() {
   inject_prob_ = 0.0;
   wl_msg_ = kInvalid;
   wl_left_ = 0;
+  wl_head_ = 0;
   wl_ready_.clear();
 }
 
@@ -63,9 +64,13 @@ void Server::workload_refill(Network& net, Cycle now) {
   HXSP_DCHECK(wl != nullptr);
   while (queue_.size() < queue_capacity_) {
     if (wl_left_ == 0) {
-      if (wl_ready_.empty()) return;
-      wl_msg_ = wl_ready_.front();
-      wl_ready_.pop_front();
+      if (wl_head_ == wl_ready_.size()) return;
+      wl_msg_ = wl_ready_[wl_head_++];
+      // Drained: rewind so the storage is reused by the next release.
+      if (wl_head_ == wl_ready_.size()) {
+        wl_head_ = 0;
+        wl_ready_.clear();
+      }
       wl_left_ = wl->msg_packets(wl_msg_);
     }
     // Like make_packet, but the destination comes from the message (no

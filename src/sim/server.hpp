@@ -15,7 +15,6 @@
 /// drains; messages enter the FIFO only through WorkloadRun's dependency
 /// release, and the mode draws nothing from the shared RNG stream.
 
-#include <deque>
 #include <vector>
 
 #include "sim/config.hpp"
@@ -46,7 +45,8 @@ class Server {
     if (remaining_ == kWorkloadMode) {
       // Message-queue mode: refill only when a message is in progress or
       // released work is waiting, so idle servers stay O(1) per cycle.
-      if (wl_left_ != 0 || !wl_ready_.empty()) workload_refill(net, now);
+      if (wl_left_ != 0 || wl_head_ != wl_ready_.size())
+        workload_refill(net, now);
       return;
     }
     if (inject_prob_ <= 0.0 || !rng.next_bool(inject_prob_)) return;
@@ -142,10 +142,13 @@ class Server {
   // so concurrent Networks on a sweep pool never share it.
   std::vector<Vc> legal_scratch_;
   // Workload mode: current message + packets of it still to generate,
-  // and the FIFO of released-but-not-started messages.
+  // and the FIFO of released-but-not-started messages: wl_ready_ from
+  // wl_head_ on. A vector, not a deque, so servers outside workload mode
+  // allocate nothing (a libstdc++ deque allocates ~600 bytes when built).
   std::int32_t wl_msg_ = kInvalid;
   int wl_left_ = 0;
-  std::deque<std::int32_t> wl_ready_;
+  std::size_t wl_head_ = 0;
+  std::vector<std::int32_t> wl_ready_;
 };
 
 } // namespace hxsp

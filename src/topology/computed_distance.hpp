@@ -39,6 +39,12 @@
 /// switch (see DistRow), so fallback rows are reused across the whole
 /// candidate scan. All queries are exact, therefore simulation output
 /// never depends on cache state, eviction order, or which tier answered.
+///
+/// Minimal routing asks for few distances per routed head: the switch's
+/// own, then one per *coordinate fixer* (the <= dims neighbours that fix
+/// a differing coordinate) — not one per neighbour — whenever that
+/// distance equals the Hamming distance (see minimal_next_hops in
+/// routing/minimal.hpp). Only severed pairs probe every alive neighbour.
 
 #include <atomic>
 #include <memory>

@@ -1,8 +1,9 @@
 /// \file distance_provider_test.cpp
 /// ComputedHyperXDistance vs the dense reference table: value parity on
 /// healthy and faulted fabrics, the adversarial interior-subcube fault
-/// pattern, provider selection, disconnection handling, and the uint8 BFS
-/// depth overflow guard.
+/// pattern, provider selection, disconnection handling, route-set parity
+/// of the distance-consuming algorithms, and the uint8 BFS depth overflow
+/// guard.
 
 #include <gtest/gtest.h>
 
@@ -228,10 +229,49 @@ TEST(ComputedDistance, DistRowMatchesAt) {
 }
 
 /// Route-set parity: the three distance-consuming algorithms must produce
-/// identical candidate ports with either provider, healthy and faulted.
+/// identical candidate ports with either provider, healthy and faulted,
+/// and Minimal / Valiant must match the full alive-port scan over a dense
+/// table (the reference the HyperX coordinate-fixer probe replaced).
 class RouteSetParity : public ::testing::Test {
  protected:
-  void expect_route_parity(const HyperX& hx) {
+  /// Trials that exercised each branch of minimal_next_hops.
+  struct Branches {
+    int severed = 0;       ///< d > hamming: the full alive-port scan
+    int dirty_minimal = 0; ///< d == hamming on a dirty minimal subcube
+  };
+
+  /// Every alive port of \p sw whose neighbour is one hop closer to
+  /// \p target, by scanning all of them.
+  static std::vector<Port> reference_next_hops(const Graph& g,
+                                               const DistanceTable& dense,
+                                               SwitchId sw, SwitchId target) {
+    std::vector<Port> want;
+    const int d = dense.at(sw, target);
+    if (d == kUnreachable || d == 0) return want;
+    for (const AlivePort& ap : g.alive_ports(sw))
+      if (dense.at(ap.neighbor, target) == d - 1) want.push_back(ap.port);
+    return want;
+  }
+
+  /// Fails \p count random links of \p hx, keeping the fabric connected.
+  static void inject_faults(HyperX& hx, int count, std::uint64_t seed) {
+    Graph& g = hx.graph();
+    Rng rng(seed);
+    int injected = 0;
+    while (injected < count) {
+      const LinkId l = static_cast<LinkId>(
+          rng.next_below(static_cast<std::uint64_t>(g.num_links())));
+      if (!g.link_alive(l)) continue;
+      g.fail_link(l);
+      if (!g.connected()) {
+        g.restore_link(l);
+        continue;
+      }
+      ++injected;
+    }
+  }
+
+  static void expect_route_parity(const HyperX& hx, Branches& seen) {
     const DistanceTable dense(hx.graph());
     const ComputedHyperXDistance comp(hx);
 
@@ -278,33 +318,55 @@ class RouteSetParity : public ::testing::Test {
           EXPECT_EQ(got[i].penalty, want[i].penalty) << algo->name();
           EXPECT_EQ(got[i].deroute, want[i].deroute) << algo->name();
         }
+        if (algo == &polarized) continue;
+        const SwitchId target =
+            algo == &valiant && !p.valiant_phase2 ? p.valiant_mid : dst;
+        const std::vector<Port> ref =
+            reference_next_hops(hx.graph(), dense, cur, target);
+        ASSERT_EQ(want.size(), ref.size())
+            << algo->name() << " cur=" << cur << " target=" << target;
+        for (std::size_t i = 0; i < ref.size(); ++i) {
+          EXPECT_EQ(want[i].port, ref[i]) << algo->name();
+          EXPECT_EQ(want[i].penalty, 0) << algo->name();
+          EXPECT_FALSE(want[i].deroute) << algo->name();
+        }
+        const int d = dense.at(cur, target);
+        const int h = hx.hamming_distance(cur, target);
+        if (d > h) ++seen.severed;
+        if (d == h && h > 0 && !comp.algebraic(cur, target))
+          ++seen.dirty_minimal;
       }
     }
   }
 };
 
 TEST_F(RouteSetParity, HealthyFabric) {
-  const HyperX hx({4, 4, 4}, 1);
-  expect_route_parity(hx);
+  Branches seen;
+  expect_route_parity(HyperX({4, 4, 4}, 1), seen);
+  expect_route_parity(HyperX({3, 5, 4}, 1), seen);
+  EXPECT_EQ(seen.severed, 0);
+  EXPECT_EQ(seen.dirty_minimal, 0);
 }
 
 TEST_F(RouteSetParity, FaultedFabric) {
-  HyperX hx({4, 4, 4}, 1);
-  Graph& g = hx.graph();
-  Rng rng(3);
-  int injected = 0;
-  while (injected < 24) {
-    const LinkId l = static_cast<LinkId>(
-        rng.next_below(static_cast<std::uint64_t>(g.num_links())));
-    if (!g.link_alive(l)) continue;
-    g.fail_link(l);
-    if (!g.connected()) {
-      g.restore_link(l);
-      continue;
-    }
-    ++injected;
-  }
-  expect_route_parity(hx);
+  Branches seen;
+  HyperX heavy({4, 4, 4}, 1);
+  inject_faults(heavy, 24, 3);
+  expect_route_parity(heavy, seen);
+  HyperX light({4, 4, 4}, 1);
+  inject_faults(light, 3, 5);
+  expect_route_parity(light, seen);
+  HyperX mixed_two({3, 5, 4}, 1);
+  inject_faults(mixed_two, 2, 11);
+  expect_route_parity(mixed_two, seen);
+  HyperX mixed_four({3, 5, 4}, 1);
+  inject_faults(mixed_four, 4, 13);
+  expect_route_parity(mixed_four, seen);
+  // Both branches of minimal_next_hops ran: pairs whose every minimal
+  // path is severed take the full scan, and the fixer probe also ran on
+  // subcubes that a fault touches without lengthening the distance.
+  EXPECT_GT(seen.severed, 0);
+  EXPECT_GT(seen.dirty_minimal, 0);
 }
 
 TEST(BfsOverflowDeathTest, DepthBeyondUint8Aborts) {

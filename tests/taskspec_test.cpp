@@ -290,6 +290,14 @@ TEST(SpecBoundaryDeathTest, OneFieldEditsNameTheField) {
       {{{"\"trace_sample\":0", "\"trace_sample\":-1"}},
        "sim\\.trace_sample must be >= 0"},
       {{{"\"offered\":0.5", "\"offered\":-1"}}, "offered must be >= 0"},
+      // Once an abort inside Server, after the network was built.
+      {{{"\"offered\":0.5", "\"offered\":16.5"}},
+       "offered must be <= sim\\.packet_length"},
+      // Once an unnamed check in the EscapeUpDown constructor.
+      {{{"\"escape_root\":0", "\"escape_root\":16"}},
+       "escape_root: switch id 16 out of range, the topology has 16 switches"},
+      {{{"\"escape_root\":0", "\"escape_root\":-1"}},
+       "escape_root: switch id -1 out of range"},
       {{{"\"measure\":400", "\"measure\":0"}}, "measure must be >= 1"},
       // Event delays beyond the 64-cycle wheel once wrapped around it in
       // Release builds and produced a silently wrong row.

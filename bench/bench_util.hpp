@@ -36,7 +36,9 @@ namespace hxsp::bench {
 /// stepping; any value is bit-identical), --shard=i/n grid slice,
 /// --emit-tasks[=file] manifest emission, plus registration of the
 /// --csv/--json/--seed keys so warn_unknown() (called here, last) knows
-/// them. Construct AFTER all driver-specific option reads.
+/// them. --help prints the program's options (every key read so far) and
+/// exits 0 before any grid is built. Construct AFTER all driver-specific
+/// option reads.
 struct CommonOptions {
   int jobs = 0;
   int step_threads = 0;
@@ -54,6 +56,10 @@ struct CommonOptions {
     emit_tasks = opt.has("emit-tasks");
     emit_path = opt.get("emit-tasks", "");
     if (emit_path == "1") emit_path.clear();  // bare flag / --emit-tasks=1
+    if (opt.has("help")) {
+      std::fputs(opt.usage().c_str(), stdout);
+      std::exit(0);
+    }
     opt.warn_unknown();
   }
 };

@@ -58,9 +58,9 @@ void SurePathMechanism::candidates(const NetworkContext& ctx, const Packet& p,
         lo = hi = p.hops < top ? static_cast<Vc>(p.hops) : top;
         break;
     }
+    const std::uint32_t vcs = vc_run(lo, hi);
     for (const PortCand& pc : scratch.ports)
-      for (Vc v = lo; v <= hi; ++v)
-        out.push_back({pc.port, v, pc.penalty, false, false});
+      out.push_back({pc.port, vcs, pc.penalty, false, false});
   }
 
   // Rule 2: escape candidates for every packet, on the escape VC. Once on
@@ -69,7 +69,7 @@ void SurePathMechanism::candidates(const NetworkContext& ctx, const Packet& p,
   esc.clear();
   ctx.escape->candidates(sw, p.dst_switch, p.escape_gone_down, esc);
   for (const EscapeCand& ec : esc)
-    out.push_back({ec.port, esc_vc, ec.penalty, true, ec.down_black});
+    out.push_back({ec.port, vc_bit(esc_vc), ec.penalty, true, ec.down_black});
 }
 
 void SurePathMechanism::injection_vcs(const NetworkContext& ctx, const Packet&,
@@ -96,7 +96,8 @@ void SurePathMechanism::commit_hop(const NetworkContext& ctx, Packet& p,
     HXSP_DCHECK(!p.in_escape); // CEsc -> CRout is forbidden
     algo_->commit(ctx, p, from, {cand.port, cand.penalty, false});
   }
-  p.cur_vc = cand.vc;
+  HXSP_DCHECK(cand.vcs != 0 && (cand.vcs & (cand.vcs - 1)) == 0);
+  p.cur_vc = lowest_vc(cand.vcs);
   ++p.hops;
 }
 

@@ -84,6 +84,15 @@ std::string spec_to_json(const ExperimentSpec& spec) {
   return w.str();
 }
 
+namespace {
+
+/// Decode bounds on the terms of the allocator's Q + P score, so the score
+/// sum cannot overflow int however a manifest is edited.
+constexpr int kMaxBufferPackets = 4096;
+constexpr int kMaxPenalty = 1 << 20;
+
+} // namespace
+
 ExperimentSpec spec_from_json(const JsonValue& v) {
   ExperimentSpec s;
   s.sides.clear();
@@ -118,10 +127,16 @@ ExperimentSpec spec_from_json(const JsonValue& v) {
   HXSP_CHECK_MSG(s.sim.link_latency + s.sim.packet_length >= 2 &&
                      s.sim.link_latency + s.sim.packet_length <= 64,
                  "sim.link_latency + sim.packet_length must be in [2, 64]");
+  // Buffer sizes bound every qs term of the allocator's Q + P score (a
+  // port's sum over 32 VCs of 2 x 4096 x 63 phits stays far inside int).
   HXSP_CHECK_MSG(s.sim.input_buffer_packets >= 1,
                  "sim.input_buffer_packets must be >= 1");
+  HXSP_CHECK_MSG(s.sim.input_buffer_packets <= kMaxBufferPackets,
+                 "sim.input_buffer_packets must be <= 4096");
   HXSP_CHECK_MSG(s.sim.output_buffer_packets >= 1,
                  "sim.output_buffer_packets must be >= 1");
+  HXSP_CHECK_MSG(s.sim.output_buffer_packets <= kMaxBufferPackets,
+                 "sim.output_buffer_packets must be <= 4096");
   // xbar_cycles() divides by the speedup.
   HXSP_CHECK_MSG(s.sim.xbar_speedup >= 1, "sim.xbar_speedup must be >= 1");
   s.sim.num_vcs = sim.at("num_vcs").as_int();
@@ -169,12 +184,22 @@ ExperimentSpec spec_from_json(const JsonValue& v) {
   s.escape_root = static_cast<SwitchId>(root);
   s.escape_strict_phase = v.at("escape_strict_phase").as_bool();
   s.escape_shortcuts = v.at("escape_shortcuts").as_bool();
+  // The P term of the Q + P score: bounded so that adding it to the
+  // bounded queue terms cannot overflow int.
   const JsonValue& pen = v.at("escape_penalties");
-  s.escape_penalties.up = pen.at("up").as_int();
-  s.escape_penalties.down = pen.at("down").as_int();
-  s.escape_penalties.red1 = pen.at("red1").as_int();
-  s.escape_penalties.red2 = pen.at("red2").as_int();
-  s.escape_penalties.red3 = pen.at("red3").as_int();
+  const auto penalty = [&pen](const char* key) {
+    const int p = pen.at(key).as_int();
+    HXSP_CHECK_MSG(p >= 0 && p <= kMaxPenalty,
+                   ("escape_penalties." + std::string(key) +
+                    " must be in [0, 2^20]")
+                       .c_str());
+    return p;
+  };
+  s.escape_penalties.up = penalty("up");
+  s.escape_penalties.down = penalty("down");
+  s.escape_penalties.red1 = penalty("red1");
+  s.escape_penalties.red2 = penalty("red2");
+  s.escape_penalties.red3 = penalty("red3");
   s.warmup = v.at("warmup").as_i64();
   HXSP_CHECK_MSG(s.warmup >= 0, "warmup must be >= 0");
   s.measure = v.at("measure").as_i64();
@@ -494,16 +519,20 @@ int Experiment::walk_route(SwitchId src, SwitchId dst, int max_hops) {
     cand.clear();
     mech_->candidates(ctx_, pkt, cur, scratch, cand);
     if (cand.empty()) return -1;
-    // Deterministic greedy walk: lowest penalty, then lowest port/vc.
+    // Deterministic greedy walk: lowest penalty, then lowest port, then
+    // lowest VC (each entry's lowest VC bit).
     const Candidate* best = &cand.front();
     for (const Candidate& c : cand) {
       if (c.penalty < best->penalty ||
           (c.penalty == best->penalty &&
-           (c.port < best->port || (c.port == best->port && c.vc < best->vc))))
+           (c.port < best->port ||
+            (c.port == best->port && lowest_vc(c.vcs) < lowest_vc(best->vcs)))))
         best = &c;
     }
-    mech_->commit_hop(ctx_, pkt, cur, *best);
-    cur = ctx_.graph->port(cur, best->port).neighbor;
+    Candidate hop = *best;
+    hop.vcs = vc_bit(lowest_vc(best->vcs));
+    mech_->commit_hop(ctx_, pkt, cur, hop);
+    cur = ctx_.graph->port(cur, hop.port).neighbor;
     mech_->on_arrival(ctx_, pkt, cur);
     ++hops;
   }

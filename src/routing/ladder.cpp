@@ -26,9 +26,9 @@ void LadderMechanism::candidates(const NetworkContext& ctx, const Packet& p,
   scratch.ports.clear();
   algo_->ports(ctx, p, sw, scratch.ports);
   const Vc base = rung(p.hops, ctx.num_vcs);
+  const std::uint32_t vcs = vc_run(base, base + vcs_per_step_ - 1);
   for (const PortCand& pc : scratch.ports)
-    for (int v = 0; v < vcs_per_step_; ++v)
-      out.push_back({pc.port, base + v, pc.penalty, false, false});
+    out.push_back({pc.port, vcs, pc.penalty, false, false});
 }
 
 void LadderMechanism::injection_vcs(const NetworkContext&, const Packet&,

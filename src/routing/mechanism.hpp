@@ -11,9 +11,10 @@
 ///    Polarized) or SurePath (CRout/CEsc split with the Up/Down escape).
 ///
 /// The router consults the mechanism once per eligible head packet and
-/// receives (port, vc, penalty) candidates; it then applies the paper's
-/// Q+P single-request allocation.
+/// receives port-grouped (port, VC set, penalty) candidates; it then
+/// applies the paper's Q+P single-request allocation.
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,14 +49,38 @@ struct PortCand {
   bool deroute = false;///< non-minimal hop (consumes Omni budget)
 };
 
-/// A full (port, vc) candidate handed to the allocator.
+/// A port-grouped candidate handed to the allocator: one output port, the
+/// set of its VCs the packet may request there, and the shared penalty.
+/// Every (port, vc) pair a mechanism allows appears in exactly one entry.
+///
+/// Order invariant: expanding a candidate list entry by entry, each entry's
+/// VCs in ascending order, yields the (port, vc) sequence of the per-VC
+/// formulation (SurePath: each routing port's CRout run, then the escape
+/// ports on CEsc; Ladder: each port's rung VCs). The allocator scans and
+/// breaks ties in exactly that order, so grouping is invisible to every
+/// RNG draw and result — it only lets the scan test a port's feasibility
+/// mask and crossbar once instead of once per VC.
 struct Candidate {
   Port port = kInvalid;
-  Vc vc = kInvalid;
+  std::uint32_t vcs = 0; ///< bit v: VC v of `port` may be requested
   int penalty = 0;      ///< P, in phits
   bool escape = false;  ///< candidate lives on the escape subnetwork (CEsc)
   bool escape_down = false; ///< escape hop that is a black Down step
 };
+
+/// The VC-set bit of \p v (VCs are bounded by 32, see SimConfig::num_vcs).
+inline std::uint32_t vc_bit(Vc v) { return 1u << static_cast<unsigned>(v); }
+
+/// The VC set {lo, lo+1, ..., hi}; requires 0 <= lo <= hi < 32.
+inline std::uint32_t vc_run(Vc lo, Vc hi) {
+  return (~0u >> static_cast<unsigned>(31 - hi)) &
+         (~0u << static_cast<unsigned>(lo));
+}
+
+/// The lowest VC of the non-empty set \p vcs.
+inline Vc lowest_vc(std::uint32_t vcs) {
+  return static_cast<Vc>(__builtin_ctz(vcs));
+}
 
 /// An escape-subnetwork candidate produced by EscapeUpDown for SurePath.
 struct EscapeCand {
@@ -115,12 +140,13 @@ class RoutingMechanism {
   /// Display name matching the paper ("Minimal", "OmniSP", ...).
   virtual std::string name() const = 0;
 
-  /// Appends (port, vc, penalty) candidates for head packet \p p at switch
-  /// \p sw, using \p scratch for intermediate buffers (cleared here; the
-  /// caller only provides the storage). Not called at the destination
-  /// switch (router ejects). Must be safe to call concurrently from
-  /// different threads as long as each call uses a distinct \p scratch —
-  /// the parallel stepping phase relies on this.
+  /// Appends port-grouped candidates for head packet \p p at switch
+  /// \p sw (one entry per port, penalty and escape kind, in the order the
+  /// Candidate invariant fixes), using \p scratch for intermediate
+  /// buffers (cleared here; the caller only provides the storage). Not
+  /// called at the destination switch (router ejects). Must be safe to
+  /// call concurrently from different threads as long as each call uses a
+  /// distinct \p scratch — the parallel stepping phase relies on this.
   virtual void candidates(const NetworkContext& ctx, const Packet& p,
                           SwitchId sw, RouteScratch& scratch,
                           std::vector<Candidate>& out) const = 0;
@@ -136,7 +162,8 @@ class RoutingMechanism {
   virtual void on_arrival(const NetworkContext&, Packet&, SwitchId) const {}
 
   /// Called at grant time for switch-to-switch hops: updates hop counters
-  /// and mechanism-specific state (escape flags, deroute budget).
+  /// and mechanism-specific state (escape flags, deroute budget). The
+  /// granted entry's `vcs` holds exactly the VC the packet moved to.
   virtual void commit_hop(const NetworkContext&, Packet&, SwitchId from,
                           const Candidate& cand) const = 0;
 

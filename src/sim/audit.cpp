@@ -74,17 +74,21 @@ void Router::audit_local(const SimConfig& cfg, Cycle now) const {
                      "audit: parked head has no cached candidate set");
       for (const Candidate& c : iv.cand) {
         const OutputPort& cop = outputs_[static_cast<std::size_t>(c.port)];
-        if ((cop.feasible_mask >> static_cast<unsigned>(c.vc)) & 1u) {
-          HXSP_CHECK_MSG(cop.xbar_free_at >= gate,
-                         "audit: parked head has a feasible candidate "
-                         "grantable before its gate");
-        } else {
-          const std::int32_t slot =
-              out_vcs_[vc_index(c.port, c.vc)].waiter_slot;
-          HXSP_CHECK_MSG(
-              slot >= 0 && ((waiter_words(slot)[enc / 64] >> (enc % 64)) & 1u),
-              "audit: parked head missing from an infeasible candidate's "
-              "waiter set");
+        for (std::uint32_t vcs = c.vcs; vcs != 0; vcs &= vcs - 1) {
+          const Vc cv = lowest_vc(vcs);
+          if ((cop.feasible_mask >> static_cast<unsigned>(cv)) & 1u) {
+            HXSP_CHECK_MSG(cop.xbar_free_at >= gate,
+                           "audit: parked head has a feasible candidate "
+                           "grantable before its gate");
+          } else {
+            const std::int32_t slot =
+                out_vcs_[vc_index(c.port, cv)].waiter_slot;
+            HXSP_CHECK_MSG(
+                slot >= 0 &&
+                    ((waiter_words(slot)[enc / 64] >> (enc % 64)) & 1u),
+                "audit: parked head missing from an infeasible candidate's "
+                "waiter set");
+          }
         }
       }
     }

@@ -74,16 +74,6 @@ void Router::push_input(Network& net, PacketPtr pkt, Port port, Vc vc,
   mark_active(net, port, vc);
 }
 
-int Router::queue_score(Port port, Vc vc) const {
-  // Paper §3: qs = output buffer occupancy + consumed credits of the
-  // requested queue; Q = qs + sum over all queues of the same port
-  // (so the requested queue counts twice). Both the per-VC qs and the
-  // per-port sum are maintained incrementally at every mutation site, so
-  // this is O(1).
-  return out_qs_[vc_index(port, vc)] +
-         outputs_[static_cast<std::size_t>(port)].score_sum;
-}
-
 void Router::compute_candidates(const Network& net, InputVc& iv) {
   const Packet& pkt = *iv.q.front();
   iv.cand.clear();
@@ -92,13 +82,19 @@ void Router::compute_candidates(const Network& net, InputVc& iv) {
     const Port eject = first_server_port() +
                        static_cast<Port>(pkt.dst_server %
                                          net.servers_per_switch());
-    iv.cand.push_back({eject, 0, 0, false, false});
+    iv.cand.push_back({eject, vc_bit(0), 0, false, false});
     iv.num_routing_cands = 1;
+    iv.num_cand_vcs = 1;
   } else {
     net.mechanism().candidates(net.ctx(), pkt, id_, scratch_, iv.cand);
     int routing = 0;
-    for (const Candidate& c : iv.cand) routing += c.escape ? 0 : 1;
+    int vcs = 0;
+    for (const Candidate& c : iv.cand) {
+      routing += c.escape ? 0 : 1;
+      vcs += __builtin_popcount(c.vcs);
+    }
     iv.num_routing_cands = routing;
+    iv.num_cand_vcs = vcs;
   }
   iv.cand_valid = true;
 }
@@ -143,7 +139,7 @@ void Router::alloc_phase(Network& net, Cycle now) {
 
     if (!iv.cand_valid) compute_candidates(net, iv);
     ++count.scans;
-    count.cand_evals += static_cast<std::int64_t>(iv.cand.size());
+    count.cand_evals += iv.num_cand_vcs;
     if (iv.cand.empty()) {
       // Stuck: no legal move at all (e.g. DOR + fault). Only a table
       // rebuild can change that, and it resets the gate.
@@ -153,48 +149,65 @@ void Router::alloc_phase(Network& net, Cycle now) {
       continue;
     }
 
-    // Single request: the feasible candidate minimising Q + P. While
-    // scanning, accumulate the earliest crossbar release of the feasible
-    // candidates, so a fruitless scan parks the head until then.
+    // Single request: the feasible (port, VC) minimising Q + P, where
+    // Q = qs(port, vc) + score_sum(port) (paper §3: the requested queue
+    // counts twice). Each entry tests its port's feasibility mask and
+    // crossbar once, then scores its feasible VCs in ascending order —
+    // the per-VC order, so the reservoir tie-break draws exactly as a
+    // per-VC scan would. While scanning, accumulate the earliest crossbar
+    // release of the feasible entries, so a fruitless scan parks the head
+    // until then.
     int best_score = std::numeric_limits<int>::max();
     int best_idx = -1;
+    Vc best_vc = 0;
     int ties = 0;
     Cycle wake = std::numeric_limits<Cycle>::max();
     for (std::size_t i = 0; i < iv.cand.size(); ++i) {
       const Candidate& c = iv.cand[i];
       const OutputPort& op = outputs_[static_cast<std::size_t>(c.port)];
-      // Credits or space missing: a fruitless scan parks the head on this
-      // VC's waiter set, which wakes it when the VC turns feasible.
-      if ((op.feasible_mask & (1u << static_cast<unsigned>(c.vc))) == 0)
-        continue;
+      // VCs missing credits or space drop out; a fruitless scan parks the
+      // head on their waiter sets, which wake it when one turns feasible.
+      std::uint32_t feasible = op.feasible_mask & c.vcs;
+      if (feasible == 0) continue;
       if (op.xbar_free_at > now) {
-        // Release times only move forward: this candidate cannot be
-        // granted before op.xbar_free_at, whatever else happens.
+        // Release times only move forward: this entry cannot be granted
+        // before op.xbar_free_at, whatever else happens.
         if (op.xbar_free_at < wake) wake = op.xbar_free_at;
         continue;
       }
-      const int score = queue_score(c.port, c.vc) + c.penalty;
-      if (score < best_score) {
-        best_score = score;
-        best_idx = static_cast<int>(i);
-        ties = 1;
-      } else if (score == best_score) {
-        ++ties;
-        if (net.rng().next_below(static_cast<std::uint64_t>(ties)) == 0)
+      const int port_score = op.score_sum + c.penalty;
+      const int* const qs = &out_qs_[vc_index(c.port, 0)];
+      do {
+        const Vc v = lowest_vc(feasible);
+        feasible &= feasible - 1;
+        const int score = qs[v] + port_score;
+        if (score < best_score) {
+          best_score = score;
           best_idx = static_cast<int>(i);
-      }
+          best_vc = v;
+          ties = 1;
+        } else if (score == best_score) {
+          ++ties;
+          if (net.rng().next_below(static_cast<std::uint64_t>(ties)) == 0) {
+            best_idx = static_cast<int>(i);
+            best_vc = v;
+          }
+        }
+      } while (feasible != 0);
     }
     if (best_idx < 0) {
       // No request this cycle (a state the full rescan would also reach
-      // with zero side effects until `wake` or until an infeasible
-      // candidate turns feasible): park the head. Only fruitless scans
-      // register — a head that requested and lost rescans next cycle.
+      // with zero side effects until `wake` or until an infeasible VC
+      // turns feasible): park the head. Only fruitless scans register — a
+      // head that requested and lost rescans next cycle.
       ++count.fruitless;
       in_gate_[static_cast<std::size_t>(enc)] = wake;
-      for (const Candidate& c : iv.cand)
-        if ((outputs_[static_cast<std::size_t>(c.port)].feasible_mask &
-             (1u << static_cast<unsigned>(c.vc))) == 0)
-          add_waiter(c.port, c.vc, enc);
+      for (const Candidate& c : iv.cand) {
+        std::uint32_t blocked =
+            c.vcs & ~outputs_[static_cast<std::size_t>(c.port)].feasible_mask;
+        for (; blocked != 0; blocked &= blocked - 1)
+          add_waiter(c.port, lowest_vc(blocked), enc);
+      }
       continue;
     }
     ++count.requests;
@@ -205,7 +218,7 @@ void Router::alloc_phase(Network& net, Cycle now) {
     // because the base routing offered nothing; hops of packets already
     // living on the escape are ordinary escape hops.
     const bool forced = c.escape && !pkt.in_escape && iv.num_routing_cands == 0;
-    reqs.push_back({enc, c.vc, best_score, c.escape, forced, c.escape_down});
+    reqs.push_back({enc, best_vc, best_score, c.escape, forced, c.escape_down});
   }
 
   // --- grant phase: each requested output grants its best request ---------
@@ -294,7 +307,7 @@ void Router::alloc_phase(Network& net, Cycle now) {
                                : req.escape ? HopKind::Escape
                                             : HopKind::Routing,
                                req.escape && !pkt->in_escape);
-        const Candidate cand{out_port, req.out_vc, 0, req.escape,
+        const Candidate cand{out_port, vc_bit(req.out_vc), 0, req.escape,
                              req.escape_down};
         net.mechanism().commit_hop(net.ctx(), *pkt, id_, cand);
       }
@@ -446,13 +459,16 @@ bool Router::corrupt_waiters_for_test(Cycle now) {
     const std::size_t i = static_cast<std::size_t>(enc);
     if (in_gate_[i] <= now || in_gate_[i] <= input_bound(i)) continue;
     for (const Candidate& c : inputs_[i].cand) {
-      const std::int32_t slot = output_vc_mut(c.port, c.vc).waiter_slot;
-      if (slot < 0) continue;
-      std::uint64_t& word = waiter_words(slot)[i / 64];
-      const std::uint64_t bit = std::uint64_t{1} << (i % 64);
-      if ((word & bit) == 0) continue;
-      word &= ~bit;
-      return true;
+      for (std::uint32_t vcs = c.vcs; vcs != 0; vcs &= vcs - 1) {
+        const std::int32_t slot =
+            output_vc_mut(c.port, lowest_vc(vcs)).waiter_slot;
+        if (slot < 0) continue;
+        std::uint64_t& word = waiter_words(slot)[i / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+        if ((word & bit) == 0) continue;
+        word &= ~bit;
+        return true;
+      }
     }
   }
   return false;

@@ -19,23 +19,33 @@
 ///
 /// Allocation (paper §3): each eligible head packet computes its candidate
 /// set once (cached while it waits), scores every flow-control-feasible
-/// candidate with Q + P where
+/// (port, VC) with Q + P where
 ///     qs = output occupancy + consumed credits of the requested queue,
 ///     Q  = qs + sum of qs' over all queues of the requested port,
 /// and makes a single request to the minimum; ties break randomly. Each
 /// output port then grants the best request it received this cycle. The
 /// per-port sum of qs is maintained incrementally (OutputPort::score_sum,
 /// updated at the four mutation sites: grant commit, tail departure,
-/// credit return, dead-link drop), so scoring one candidate is O(1)
-/// instead of O(num_vcs) — it is the innermost arithmetic of the engine,
-/// evaluated per candidate per scanned head.
+/// credit return, dead-link drop), so scoring one VC is O(1) instead of
+/// O(num_vcs) — it is the innermost arithmetic of the engine, evaluated
+/// per (port, VC) per scanned head.
+///
+/// Candidates arrive port-grouped (routing/mechanism.hpp): one entry per
+/// (port, penalty, escape kind) with a VC mask, e.g. one entry for all
+/// three CRout VCs of an OmniSP port. The scan intersects the mask with
+/// the port's feasibility mask and tests the port's crossbar once per
+/// entry, then scores the surviving VCs in ascending order. By the
+/// Candidate order invariant that is the per-VC sequence exactly, so the
+/// tie-breaking reservoir draws the same RNG values and the grouping
+/// changes no grant.
 ///
 /// Head parking: a head whose scan posts no request sleeps until one of
-/// its candidates could be granted. A candidate that is feasible but whose
-/// output crossbar is busy bounds the sleep by its known release cycle; an
-/// infeasible one (credits or output space missing) registers the head in
-/// that output VC's waiter set, and update_feasible — the one funnel of
-/// every credit/space mutation — wakes the set when the VC turns feasible.
+/// its candidates could be granted. An entry with a feasible VC whose
+/// output crossbar is busy bounds the sleep by its known release cycle;
+/// each infeasible VC of an entry (credits or output space missing)
+/// registers the head in that output VC's waiter set, and update_feasible
+/// — the one funnel of every credit/space mutation — wakes the set when
+/// the VC turns feasible.
 /// Parked heads are exactly heads that could not post a request, and a
 /// fruitless scan draws no RNG, so parking changes no simulated outcome.
 ///
@@ -66,6 +76,9 @@ struct InputVc {
                                  ///< (valid whenever draining; kept for
                                  ///< exact gate reconstruction)
   bool cand_valid = false;       ///< cached candidates valid for current head
+  int num_cand_vcs = 0;          ///< (port, VC) pairs across `cand` (fills
+                                 ///< cand_valid's padding: one InputVc per
+                                 ///< (port, VC) adds up at million scale)
   std::vector<Candidate> cand;   ///< cached candidate set of the head
   int num_routing_cands = 0;     ///< non-escape entries in `cand`
   int active_pos = -1;           ///< index in Router::active_, -1 = not listed
@@ -287,11 +300,12 @@ class Router {
   /// input list and its back-pointers, head gates, waiter sets — and
   /// aborts on drift. Strictly stronger than check_invariants (exact
   /// equalities, not bounds). Parking exactness: every head parked past
-  /// \p now and its input-side bound has, for each candidate, either a
-  /// feasible VC whose crossbar is busy until at least the gate or a
-  /// waiter-set registration on the infeasible VC — so no wake can be
-  /// missed. Wheel-dependent ledgers (in-flight credits, pending tail
-  /// departures) are cross-checked by Network::run_audit.
+  /// \p now and its input-side bound has, for each (port, VC) of its
+  /// candidate entries, either a feasible VC whose crossbar is busy until
+  /// at least the gate or a waiter-set registration on the infeasible VC
+  /// — so no wake can be missed. Wheel-dependent ledgers (in-flight
+  /// credits, pending tail departures) are cross-checked by
+  /// Network::run_audit.
   void audit_local(const SimConfig& cfg, Cycle now) const;
 
   /// Test-only mutable state access, for injecting incremental-state
@@ -373,9 +387,6 @@ class Router {
   /// the router runs out of buffered packets).
   void unmark_active(Network& net, Port p, Vc v);
 
-  /// Q term of the paper's allocation rule for output (port,vc).
-  int queue_score(Port port, Vc vc) const;
-
   /// Fills \p iv's candidate cache for its current head packet (the shared
   /// body of alloc_phase and precompute_candidates).
   void compute_candidates(const Network& net, InputVc& iv);
@@ -436,7 +447,7 @@ class Router {
   /// A request posted to an output port during the current cycle.
   struct Request {
     std::int32_t in_enc = -1; ///< encoded input (port*V+vc)
-    Vc out_vc = -1;
+    Vc out_vc = -1;           ///< the VC the scan chose within its entry
     int score = 0;            ///< Q + P
     bool escape = false;
     bool forced = false;

@@ -1,7 +1,9 @@
 #include "util/jsonio.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 
 #include "util/check.hpp"
 
@@ -31,17 +33,48 @@ double JsonValue::as_double() const {
   return std::strtod(scalar_.c_str(), nullptr);
 }
 
+// The integer accessors take the whole token or nothing: a fraction or
+// exponent ("4.5", "1e3") is not an integer, and a value outside the
+// target type aborts instead of wrapping or saturating into a different,
+// valid-looking setting.
+
 std::int64_t JsonValue::as_i64() const {
   HXSP_CHECK_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
-  return static_cast<std::int64_t>(std::strtoll(scalar_.c_str(), nullptr, 10));
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(scalar_.c_str(), &end, 10);
+  HXSP_CHECK_MSG(*end == '\0',
+                 ("JSON number " + scalar_ + " is not an integer").c_str());
+  HXSP_CHECK_MSG(errno != ERANGE,
+                 ("JSON integer " + scalar_ + " does not fit in 64 bits")
+                     .c_str());
+  return static_cast<std::int64_t>(v);
 }
 
 std::uint64_t JsonValue::as_u64() const {
   HXSP_CHECK_MSG(kind_ == Kind::kNumber, "JSON value is not a number");
-  return std::strtoull(scalar_.c_str(), nullptr, 10);
+  // strtoull would silently negate a leading minus sign.
+  HXSP_CHECK_MSG(scalar_[0] != '-',
+                 ("JSON integer " + scalar_ + " is negative").c_str());
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(scalar_.c_str(), &end, 10);
+  HXSP_CHECK_MSG(*end == '\0',
+                 ("JSON number " + scalar_ + " is not an integer").c_str());
+  HXSP_CHECK_MSG(errno != ERANGE,
+                 ("JSON integer " + scalar_ + " does not fit in 64 bits")
+                     .c_str());
+  return static_cast<std::uint64_t>(v);
 }
 
-int JsonValue::as_int() const { return static_cast<int>(as_i64()); }
+int JsonValue::as_int() const {
+  const std::int64_t v = as_i64();
+  HXSP_CHECK_MSG(v >= std::numeric_limits<int>::min() &&
+                     v <= std::numeric_limits<int>::max(),
+                 ("JSON integer " + scalar_ + " does not fit in 32 bits")
+                     .c_str());
+  return static_cast<int>(v);
+}
 
 const std::string& JsonValue::as_string() const {
   HXSP_CHECK_MSG(kind_ == Kind::kString, "JSON value is not a string");

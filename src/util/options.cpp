@@ -123,4 +123,21 @@ void Options::warn_unknown() const {
   }
 }
 
+std::string Options::usage() const {
+  const std::size_t slash = program_.find_last_of('/');
+  std::string out = "usage: " +
+                    (slash == std::string::npos ? program_
+                                                : program_.substr(slash + 1)) +
+                    " [--option[=value]]...\noptions:\n";
+  std::vector<std::string> listed;
+  for (const std::string& k : seen_) {
+    if (k == "help" ||
+        std::find(listed.begin(), listed.end(), k) != listed.end())
+      continue;
+    listed.push_back(k);
+    out += "  --" + k + "\n";
+  }
+  return out;
+}
+
 } // namespace hxsp

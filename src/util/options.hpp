@@ -55,6 +55,11 @@ class Options {
   /// warn_unknown(). Getters register keys automatically.
   void warn_unknown() const;
 
+  /// Usage text listing every key queried so far (first-query order,
+  /// without "help"): after a program has read all its options this is
+  /// exactly the option set it accepts.
+  std::string usage() const;
+
  private:
   std::string program_;
   std::map<std::string, std::string> kv_;

@@ -45,7 +45,12 @@ TaskSpec golden_cell(const char* mechanism, const char* pattern) {
 // Recorded on the polling allocator (credit-blocked heads rescanned every
 // cycle) before heads parked on waiter sets. Parking only skips scans that
 // could not post a request, so these rows must not move; the PolSP
-// saturation fix on the roadmap will move them deliberately.
+// saturation fix on the roadmap will move them deliberately. The cells
+// cover every shape of candidate VC set: OmniSP's default Free policy
+// (a 3-VC run per port), PolSP's Auto (one rung here), and the explicit
+// Monotone and Free overrides (runs starting mid-range, and Free under a
+// Polarized base), the latter two recorded on the per-VC candidate lists
+// before candidates were grouped by port.
 TEST(AllocGolden, SaturatedFaultedCellsPinned) {
   const struct {
     const char* mechanism;
@@ -69,6 +74,14 @@ TEST(AllocGolden, SaturatedFaultedCellsPinned) {
        ",,rate,,OmniSP,dcr,1,3,0.89024999999999999,0.27050000000000002,"
        "599.27634011090572,0.98507134680494579,0.14439503861455652,"
        "0.0039784694593962087,1184,1000,1082,0,0,0,0,0,,\n"},
+      {"omnisp@monotone", "uniform",
+       ",,rate,,OmniSP,uniform,1,3,0.93225000000000002,0.42299999999999999,"
+       "403.13356973995269,0.99036185200125804,0.16407599309153714,"
+       "0.0023028209556706968,992,1000,1692,0,0,0,0,0,,\n"},
+      {"polsp@free", "uniform",
+       ",,rate,,PolSP,uniform,1,3,0.94474999999999998,0.38150000000000001,"
+       "399.47640891218873,0.99202929176058441,0.17325916769674496,0,1032,"
+       "1000,1526,0,0,0,0,0,,\n"},
   };
   for (const auto& c : cells) {
     SCOPED_TRACE(std::string(c.mechanism) + "/" + c.pattern);
@@ -105,6 +118,26 @@ TEST(AllocCounters, IdenticalAcrossStepThreadsAndAudit) {
   s.sim.audit_interval = 1;
   EXPECT_EQ(run_counters(s, 1.0, nullptr), serial);
   EXPECT_EQ(run_counters(s, 1.0, &pool), serial);
+}
+
+// The OmniSP golden cell's counters, pinned exactly: its Free policy gives
+// every routing port a 3-VC entry, so cand_evals (which counts (port, VC)
+// pairs, not entries) is the counter a grouping slip would move first.
+// Recorded on the per-VC candidate lists. The audited rerun checks parking
+// exactness every cycle on those multi-VC entries (a fruitless scan must
+// join the waiter set of each blocked VC of an entry, not just one).
+TEST(AllocCounters, OmniSpGoldenCellPinned) {
+  ExperimentSpec s = golden_cell("omnisp", "uniform").spec;
+  AllocCounters want;
+  want.scans = 56972;
+  want.fruitless = 24189;
+  want.requests = 32783;
+  want.grants = 11891;
+  want.cand_evals = 626187;
+  want.wakes = 35371;
+  EXPECT_EQ(run_counters(s, 1.0, nullptr), want);
+  s.sim.audit_interval = 1;
+  EXPECT_EQ(run_counters(s, 1.0, nullptr), want);
 }
 
 // Head scans per grant on one saturated faulted 8x8 PolSP cell (the fig06

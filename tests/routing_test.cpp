@@ -241,11 +241,11 @@ TEST(Ladder, OneStepVcFollowsHops) {
   RouteScratch scratch;
   mech.candidates(t.ctx, p, p.src_switch, scratch, out);
   ASSERT_FALSE(out.empty());
-  for (const auto& c : out) EXPECT_EQ(c.vc, 0);
+  for (const auto& c : out) EXPECT_EQ(c.vcs, 1u << 0);
   p.hops = 1;
   out.clear();
   mech.candidates(t.ctx, p, t.hx->switch_at({1, 0}), scratch, out);
-  for (const auto& c : out) EXPECT_EQ(c.vc, 1);
+  for (const auto& c : out) EXPECT_EQ(c.vcs, 1u << 1);
 }
 
 TEST(Ladder, TwoStepOffersPairOfVcs) {
@@ -256,13 +256,21 @@ TEST(Ladder, TwoStepOffersPairOfVcs) {
   RouteScratch scratch;
   mech.candidates(t.ctx, p, p.src_switch, scratch, out);
   std::set<Vc> vcs;
-  for (const auto& c : out) vcs.insert(c.vc);
+  for (const auto& c : out) {
+    EXPECT_EQ(c.vcs, 0b0011u); // one entry per port, both rung VCs
+    for (Vc v = 0; v < 32; ++v)
+      if ((c.vcs >> v) & 1u) vcs.insert(v);
+  }
   EXPECT_EQ(vcs, (std::set<Vc>{0, 1}));
   p.hops = 1;
   out.clear();
   mech.candidates(t.ctx, p, t.hx->switch_at({1, 0}), scratch, out);
   vcs.clear();
-  for (const auto& c : out) vcs.insert(c.vc);
+  for (const auto& c : out) {
+    EXPECT_EQ(c.vcs, 0b1100u);
+    for (Vc v = 0; v < 32; ++v)
+      if ((c.vcs >> v) & 1u) vcs.insert(v);
+  }
   EXPECT_EQ(vcs, (std::set<Vc>{2, 3}));
 }
 
@@ -274,7 +282,7 @@ TEST(Ladder, SaturatesAtTopRung) {
   std::vector<Candidate> out;
   RouteScratch scratch;
   mech.candidates(t.ctx, p, p.src_switch, scratch, out);
-  for (const auto& c : out) EXPECT_EQ(c.vc, 3);
+  for (const auto& c : out) EXPECT_EQ(c.vcs, 1u << 3);
 }
 
 TEST(Ladder, CommitIncrementsHops) {

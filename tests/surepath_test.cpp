@@ -32,6 +32,14 @@ std::unique_ptr<SurePathMechanism> polsp() {
       std::make_unique<PolarizedAlgorithm>(), "PolSP", CRoutVcPolicy::Rung);
 }
 
+/// The VCs of a candidate's VC set, ascending.
+std::set<Vc> vcs_of(std::uint32_t vcs) {
+  std::set<Vc> out;
+  for (Vc v = 0; v < 32; ++v)
+    if ((vcs >> v) & 1u) out.insert(v);
+  return out;
+}
+
 TEST(SurePath, RoutingCandidatesOnAllCRoutVcs) {
   auto t = make_net(2, 4, /*num_vcs=*/4);
   auto mech = omnisp();
@@ -41,10 +49,9 @@ TEST(SurePath, RoutingCandidatesOnAllCRoutVcs) {
   mech->candidates(t.ctx, p, p.src_switch, scratch, out);
   std::set<Vc> rout_vcs, esc_vcs;
   for (const auto& c : out) {
-    if (c.escape)
-      esc_vcs.insert(c.vc);
-    else
-      rout_vcs.insert(c.vc);
+    // One entry per port: all CRout VCs together, or the escape VC alone.
+    EXPECT_EQ(c.vcs, c.escape ? 0b1000u : 0b0111u);
+    for (const Vc v : vcs_of(c.vcs)) (c.escape ? esc_vcs : rout_vcs).insert(v);
   }
   // CRout = VCs 0..2, CEsc = VC 3 with 4 VCs.
   EXPECT_EQ(rout_vcs, (std::set<Vc>{0, 1, 2}));
@@ -79,7 +86,7 @@ TEST(SurePath, NoReturnFromEscape) {
   ASSERT_FALSE(out.empty());
   for (const auto& c : out) {
     EXPECT_TRUE(c.escape);
-    EXPECT_EQ(c.vc, t.ctx.num_vcs - 1);
+    EXPECT_EQ(c.vcs, 1u << (t.ctx.num_vcs - 1));
   }
 }
 
@@ -87,12 +94,13 @@ TEST(SurePath, CommitEntersEscapeAndSetsPhase) {
   auto t = make_net(2, 4);
   auto mech = omnisp();
   Packet p = make_packet(t, 0, 5);
-  const Candidate esc{0, 3, 112, true, false};
+  const Candidate esc{0, 1u << 3, 112, true, false};
   mech->commit_hop(t.ctx, p, 0, esc);
   EXPECT_TRUE(p.in_escape);
   EXPECT_FALSE(p.escape_gone_down);
   EXPECT_EQ(p.hops, 1);
-  const Candidate down{1, 3, 96, true, true};
+  EXPECT_EQ(p.cur_vc, 3);
+  const Candidate down{1, 1u << 3, 96, true, true};
   mech->commit_hop(t.ctx, p, 1, down);
   EXPECT_TRUE(p.escape_gone_down);
 }
@@ -104,8 +112,9 @@ TEST(SurePath, CommitRoutingHopCountsDeroutes) {
   Packet p = make_packet(t, src, t.hx->switch_at({2, 0}));
   // Deroute to (1,0) on a CRout vc.
   const Port q = t.hx->port_towards(src, 0, 1);
-  mech->commit_hop(t.ctx, p, src, {q, 0, 64, false, false});
+  mech->commit_hop(t.ctx, p, src, {q, 1u << 0, 64, false, false});
   EXPECT_EQ(p.deroutes, 1);
+  EXPECT_EQ(p.cur_vc, 0);
   EXPECT_FALSE(p.in_escape);
 }
 
@@ -132,13 +141,13 @@ TEST(SurePath, RungPolicyFollowsHopCount) {
   mech->candidates(t.ctx, p, t.hx->switch_at({2, 0}), scratch, out);
   ASSERT_FALSE(out.empty());
   for (const auto& c : out)
-    if (!c.escape) { EXPECT_EQ(c.vc, 1); }
+    if (!c.escape) { EXPECT_EQ(c.vcs, 1u << 1); }
   // Rung saturates at the top CRout VC.
   p.hops = 9;
   out.clear();
   mech->candidates(t.ctx, p, t.hx->switch_at({2, 0}), scratch, out);
   for (const auto& c : out)
-    if (!c.escape) { EXPECT_EQ(c.vc, 2); }
+    if (!c.escape) { EXPECT_EQ(c.vcs, 1u << 2); }
 }
 
 TEST(SurePath, AutoPolicyResolvesByLadderDepth) {
@@ -171,7 +180,7 @@ TEST(SurePath, MonotonePolicyRespectsCurrentVc) {
   mech.candidates(t.ctx, p, p.src_switch, scratch, out);
   ASSERT_FALSE(out.empty());
   for (const auto& c : out)
-    if (!c.escape) { EXPECT_GE(c.vc, 1); }
+    if (!c.escape) { EXPECT_EQ(c.vcs, 0b0110u); } // CRout VCs >= 1
 }
 
 TEST(SurePath, ForcedHopWhenBaseRoutingDead) {
@@ -215,8 +224,10 @@ int surepath_walk(const TestNet& t, RoutingMechanism& mech, SwitchId src,
     const Candidate* best = &out.front();
     for (const auto& cc : out)
       if (cc.penalty < best->penalty) best = &cc;
-    mech.commit_hop(t.ctx, p, c, *best);
-    c = t.ctx.graph->port(c, best->port).neighbor;
+    Candidate hop = *best;
+    hop.vcs = 1u << lowest_vc(best->vcs); // the router grants one VC
+    mech.commit_hop(t.ctx, p, c, hop);
+    c = t.ctx.graph->port(c, hop.port).neighbor;
     mech.on_arrival(t.ctx, p, c);
     ++hops;
   }

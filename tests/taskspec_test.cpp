@@ -313,6 +313,31 @@ TEST(SpecBoundaryDeathTest, OneFieldEditsNameTheField) {
       {{{"\"link_latency\":1", "\"link_latency\":0"},
         {"\"packet_length\":16", "\"packet_length\":1"}},
        kWheel},
+      // Integer fields once narrowed silently: 2^32 + 4 VCs ran as 4, and
+      // strtoll read 4.5 as 4.
+      {{{"\"num_vcs\":4", "\"num_vcs\":4294967300"}},
+       "JSON integer 4294967300 does not fit in 32 bits"},
+      {{{"\"num_vcs\":4", "\"num_vcs\":4.5"}},
+       "JSON number 4\\.5 is not an integer"},
+      {{{"\"seed\":7", "\"seed\":-7"}}, "JSON integer -7 is negative"},
+      {{{"\"warmup\":200", "\"warmup\":99999999999999999999"}},
+       "JSON integer 99999999999999999999 does not fit in 64 bits"},
+      // Every term of the allocator's Q + P score is bounded, so the sum
+      // cannot overflow int: penalties once decoded up to INT_MAX.
+      {{{"\"up\":112", "\"up\":2147483000"}},
+       "escape_penalties\\.up must be in \\[0, 2\\^20\\]"},
+      {{{"\"down\":96", "\"down\":-1"}},
+       "escape_penalties\\.down must be in \\[0, 2\\^20\\]"},
+      {{{"\"red1\":80", "\"red1\":1048577"}},
+       "escape_penalties\\.red1 must be in \\[0, 2\\^20\\]"},
+      {{{"\"red2\":64", "\"red2\":-64"}},
+       "escape_penalties\\.red2 must be in \\[0, 2\\^20\\]"},
+      {{{"\"red3\":48", "\"red3\":2000000"}},
+       "escape_penalties\\.red3 must be in \\[0, 2\\^20\\]"},
+      {{{"\"input_buffer_packets\":8", "\"input_buffer_packets\":4097"}},
+       "sim\\.input_buffer_packets must be <= 4096"},
+      {{{"\"output_buffer_packets\":4", "\"output_buffer_packets\":4097"}},
+       "sim\\.output_buffer_packets must be <= 4096"},
   };
   for (const SpecEdit& row : table) {
     const std::string text = apply_edits(row);

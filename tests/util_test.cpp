@@ -160,6 +160,18 @@ TEST(Options, StringList) {
   EXPECT_EQ(v[1], "polsp");
 }
 
+TEST(Options, UsageListsQueriedKeysOnce) {
+  const char* argv[] = {"/path/to/driver", "--help"};
+  Options opt(2, argv);
+  opt.get_int("side", 8);
+  opt.get_bool("paper", false);
+  opt.has("side");
+  opt.has("help");
+  EXPECT_EQ(opt.usage(),
+            "usage: driver [--option[=value]]...\noptions:\n"
+            "  --side\n  --paper\n");
+}
+
 TEST(Options, DefaultsWhenAbsent) {
   const char* argv[] = {"prog"};
   Options opt(1, argv);

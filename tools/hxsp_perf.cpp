@@ -3,8 +3,9 @@
 /// configurations (8x8 HyperX, PolSP, 4 VCs, a prefix of random link
 /// faults) at four offered loads bracketing the figure's operating curve
 /// (0.10 mostly idle, 0.55 below the knee, 0.80 mid-congestion, 0.95
-/// saturated) plus one completion-mode drain, and reports cycles/sec and
-/// packets/sec per config.
+/// saturated), the saturated point again under OmniSP (fig06_omni_sat),
+/// plus one completion-mode drain, and reports cycles/sec and packets/sec
+/// per config.
 ///
 /// Results are persisted to BENCH_engine.json, merged by --label: an
 /// existing file keeps every entry with a different label, so the file
@@ -20,7 +21,7 @@
 /// Usage: hxsp_perf [--quick] [--grid=fig06|big] [--label=NAME]
 ///                  [--out=FILE] [--reps=N] [--cycles=N] [--warmup=N]
 ///                  [--seed=N] [--only=CONFIG] [--step-threads=N]
-///                  [--note=TEXT] [--phase-times]
+///                  [--note=TEXT] [--phase-times] [--help]
 ///                  [--loads=a,b,c]  (override the rate-config loads)
 ///
 ///   --quick   CI-sized grid (4x4, short windows) — smoke scale, numbers
@@ -396,6 +397,16 @@ int main(int argc, char** argv) {
       opt.get_int("warmup", big ? (quick ? 10 : 30) : (quick ? 300 : 1000));
   const Cycle timed =
       opt.get_int("cycles", big ? (quick ? 40 : 100) : (quick ? 1000 : 4000));
+  // The fixed rate points of the fig06 grid bracket the fig06 operating
+  // curve (the figure itself measures saturated throughput at offered
+  // 1.0): mostly-idle, uncongested flow below the knee, the middle of the
+  // congestion transition, and full saturation.
+  const std::vector<double> loads =
+      opt.get_double_list("loads", {0.10, 0.55, 0.80, 0.95});
+  if (opt.has("help")) {
+    std::fputs(opt.usage().c_str(), stdout);
+    return 0;
+  }
   opt.warn_unknown();
 
   // Validate/load any existing output before spending time measuring.
@@ -429,12 +440,6 @@ int main(int argc, char** argv) {
     const int faults = quick ? 4 : 8;
     const long drain_packets = quick ? 16 : 48;
     const ExperimentSpec base = fig06_style_spec(side, faults, seed);
-    // The fixed rate points bracket the fig06 operating curve (the figure
-    // itself measures saturated throughput at offered 1.0): mostly-idle,
-    // uncongested flow below the knee, the middle of the congestion
-    // transition, and full saturation.
-    const std::vector<double> loads =
-        opt.get_double_list("loads", {0.10, 0.55, 0.80, 0.95});
     const char* load_names[] = {"fig06_low", "fig06_half", "fig06_mid",
                                 "fig06_sat"};
     for (std::size_t i = 0; i < loads.size(); ++i) {
@@ -444,6 +449,16 @@ int main(int argc, char** argv) {
       pc.load = loads[i];
       grid.push_back(std::move(pc));
     }
+    // The same saturated cell under OmniSP: its Free CRout policy lets a
+    // head request any of the 3 routing VCs on each of its ports, the
+    // allocator's widest candidate lists (PolSP's Auto resolves to one
+    // rung per hop here).
+    PerfConfig omni;
+    omni.name = "fig06_omni_sat";
+    omni.spec = base;
+    omni.spec.mechanism = "omnisp";
+    omni.load = 0.95;
+    grid.push_back(std::move(omni));
     PerfConfig pc;
     pc.name = "fig06_drain";
     pc.spec = base;
@@ -453,7 +468,7 @@ int main(int argc, char** argv) {
   }
   std::printf("hxsp_perf — engine stepping rate, grid %s, label '%s'\n",
               grid_name.c_str(), label.c_str());
-  std::printf("%-12s %10s %12s %14s %14s\n", "config", "cycles", "wall_s",
+  std::printf("%-15s %10s %12s %14s %14s\n", "config", "cycles", "wall_s",
               "cycles/sec", "packets/sec");
 
   const std::unique_ptr<ThreadPool> pool =
@@ -476,7 +491,7 @@ int main(int argc, char** argv) {
                    pc.name.c_str(), ex.what());
       return 1;
     }
-    std::printf("%-12s %10lld %12.4f %14.0f %14.0f\n", r.name.c_str(),
+    std::printf("%-15s %10lld %12.4f %14.0f %14.0f\n", r.name.c_str(),
                 static_cast<long long>(r.cycles), r.wall_seconds,
                 r.cycles_per_sec, r.packets_per_sec);
     print_alloc(r);
